@@ -3,7 +3,8 @@
 Subcommands mirror the solve pipeline: ``gallery`` lists the operators,
 ``verify`` checks the monotonicity/coercivity hypotheses, ``flow`` runs
 a single regularized flow and audits its trace, ``solve`` runs the full
-a -> 0 continuation and emits a JSON report.
+a -> 0 continuation and emits a JSON report, and ``sweep`` verifies and
+solves every gallery operator into one directory with a summary.
 
 All randomness derives from --seed through named substreams, so a fixed
 configuration reproduces byte-identical outputs.
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .continuation import ContinuationSchedule, run_continuation
+from .continuation import ContinuationSchedule, SolveReport, run_continuation
 from .flow import (
     FlowConfig,
     integrate_flow,
@@ -77,34 +77,40 @@ def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
     raise ValueError(f"unrecognized target spec {spec!r}")
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if getattr(args, "config_data", None) and key in args.config_data:
-        return args.config_data[key]
-    return default
-
-
-def _flow_config(args) -> FlowConfig:
-    return FlowConfig(
-        ode_rel_tol=float(_merged(args, "ode_tol", 1e-8)),
-        residual_tol=float(_merged(args, "tol", 1e-10)),
-        max_time=(lambda m: float(m) if m is not None else None)(_merged(args, "max_t", None)),
-    )
+def _flow_config(args, residual_tol: float) -> FlowConfig:
+    return FlowConfig(ode_rel_tol=args.ode_tol, residual_tol=residual_tol, max_time=args.max_t)
 
 
 def _resolve_operator(args):
-    name = _merged(args, "operator", None)
-    if name is None:
+    if args.operator is None:
         raise ValueError("an operator name is required (--operator)")
-    dim = int(_merged(args, "dim", 5))
-    return make_operator(name, dim)
+    return make_operator(args.operator, args.dim)
+
+
+def _check_hypotheses(op, seed: int):
+    """Empirical monotonicity and coercivity reports, as verify and sweep give them."""
+    mono = check_monotone(op, subseed(seed, "monotone"), n_pairs=500, radius=5.0, tol=1e-10)
+    coer = check_coercive(op, [1.0, 10.0, 100.0], subseed(seed, "coercive"), n_dirs=32)
+    return mono, coer
+
+
+def _run_solve(op, h, seed: int, sched, cfg, trace_dir) -> SolveReport:
+    """The a -> 0 continuation as solve and sweep run it; stage traces go to trace_dir if set."""
+    callback = None
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+
+        def callback(a, sol):
+            rel = f"{op.name}_a{a:.3e}.csv"
+            trace_to_csv(sol.trace, Path(trace_dir) / rel)
+            return rel
+
+    return run_continuation(op, h, sched, cfg, minty_seed=subseed(seed, "minty"),
+                            stage_callback=callback)
 
 
 def cmd_gallery(args) -> int:
-    for op in make_gallery(int(_merged(args, "dim", 5))):
+    for op in make_gallery(args.dim):
         dim_policy = "n=1 fixed" if op.name.startswith("scalar") else "n parameterizable"
         print(
             f"{op.name:22s} dim={op.dim:<3d} ({dim_policy})  "
@@ -117,10 +123,8 @@ def cmd_gallery(args) -> int:
 
 def cmd_verify(args) -> int:
     op = _resolve_operator(args)
-    seed = int(_merged(args, "seed", 1))
-    mono = check_monotone(op, subseed(seed, "monotone"), n_pairs=500, radius=5.0, tol=1e-10)
-    coer = check_coercive(op, [1.0, 10.0, 100.0], subseed(seed, "coercive"), n_dirs=32)
-    rng = subrng(seed, "sym_eig_points")
+    mono, coer = _check_hypotheses(op, args.seed)
+    rng = subrng(args.seed, "sym_eig_points")
     eig_min = min(
         min_sym_eig(jacobian(op, rng.standard_normal(op.dim) * 2.0)) for _ in range(20)
     )
@@ -147,16 +151,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    a = _merged(args, "a", None)
+    a = args.a
     if a is None:
         print("flow requires --a", file=sys.stderr)
         return EXIT_USAGE
-    a = float(a)
-    cfg = _flow_config(args)
+    cfg = _flow_config(args, args.tol)
 
-    replay = _merged(args, "replay", None)
-    if replay is not None:
-        trace = trace_from_csv(replay, a, ode_rel_tol=cfg.ode_rel_tol)
+    if args.replay is not None:
+        trace = trace_from_csv(args.replay, a, ode_rel_tol=cfg.ode_rel_tol)
         checks = {"decay": verify_decay(trace), "vdot_bound": verify_vdot_bound(trace)}
         ok = True
         for name, rep in checks.items():
@@ -165,19 +167,17 @@ def cmd_flow(args) -> int:
         return EXIT_OK if ok else EXIT_FAIL
 
     op = _resolve_operator(args)
-    seed = int(_merged(args, "seed", 1))
-    h = parse_target(str(_merged(args, "target", "ones")), op.dim, seed)
+    h = parse_target(args.target, op.dim, args.seed)
     sol = integrate_flow(op, a, h, np.zeros(op.dim), cfg)
 
-    trace_dir = _merged(args, "trace_dir", ".")
-    Path(trace_dir).mkdir(parents=True, exist_ok=True)
-    trace_path = Path(trace_dir) / f"{op.name}_a{a:g}.csv"
+    Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
+    trace_path = Path(args.trace_dir) / f"{op.name}_a{a:g}.csv"
     trace_to_csv(sol.trace, trace_path)
 
     checks = {
         "decay": verify_decay(sol.trace),
         "vdot_bound": verify_vdot_bound(sol.trace),
-        "tail_bound": verify_tail_bound(op, a, h, sol.trace, sol.u_a),
+        "tail_bound": verify_tail_bound(sol.trace, sol.u_a),
     }
     print(f"terminated_by={sol.trace.terminated_by} t_end={sol.trace.records[-1][0]:.6f} "
           f"residual={sol.residual:.6e}")
@@ -197,53 +197,30 @@ def cmd_flow(args) -> int:
 
 def cmd_solve(args) -> int:
     op = _resolve_operator(args)
-    seed = int(_merged(args, "seed", 1))
-    h = parse_target(str(_merged(args, "target", "ones")), op.dim, seed)
-    sched = ContinuationSchedule(
-        a0=float(_merged(args, "a0", 1.0)),
-        decay_factor=float(_merged(args, "decay_factor", 0.1)),
-        a_min=float(_merged(args, "a_min", 1e-6)),
-    )
-    cfg = FlowConfig(
-        ode_rel_tol=float(_merged(args, "ode_tol", 1e-8)),
-        residual_tol=1e-10,
-        max_time=(lambda m: float(m) if m is not None else None)(_merged(args, "max_t", None)),
-    )
-    final_tol = float(_merged(args, "tol", 1e-5))
+    h = parse_target(args.target, op.dim, args.seed)
+    sched = ContinuationSchedule(a0=args.a0, decay_factor=args.decay_factor, a_min=args.a_min)
+    cfg = _flow_config(args, FlowConfig.residual_tol)
+    report = _run_solve(op, h, args.seed, sched, cfg, args.trace_dir)
 
-    trace_dir = _merged(args, "trace_dir", None)
-    callback = None
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-
-        def callback(a, sol):
-            rel = f"{op.name}_a{a:.3e}.csv"
-            trace_to_csv(sol.trace, Path(trace_dir) / rel)
-            return rel
-
-    report = run_continuation(op, h, sched, cfg, minty_seed=subseed(seed, "minty"),
-                              stage_callback=callback)
-
-    report_path = _merged(args, "report", None)
-    if report_path is not None:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(report.to_json() + "\n")
-        print(f"report written to {report_path}")
+    if args.report is not None:
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.report).write_text(report.to_json() + "\n")
+        print(f"report written to {args.report}")
 
     print(f"final_u = {list(map(float, report.final_u))}")
     print(f"final residual ||F(u)-h|| = {report.final_residual_eq5:.6e}")
     certificates = [
-        ("residual", report.final_residual_eq5 <= final_tol),
+        ("residual", report.final_residual_eq5 <= args.tol),
         ("bound_report", report.bound_report.passed),
         ("minty_report", report.minty_report.passed),
         ("cauchy_report", report.cauchy_report.passed),
     ]
-    if _merged(args, "oracle", False):
+    if args.oracle:
         try:
             u_ref = oracle_solve(op, h)
             dist = float(np.linalg.norm(report.final_u - u_ref))
             print(f"oracle distance = {dist:.6e}")
-            certificates.append(("oracle", dist <= final_tol))
+            certificates.append(("oracle", dist <= args.tol))
         except OracleFailure as exc:
             print(f"oracle failed: {exc}")
             certificates.append(("oracle", False))
@@ -258,56 +235,132 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def cmd_sweep(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for op in make_gallery(args.dim):
+        mono, coer = _check_hypotheses(op, args.seed)
+        row = {
+            "operator": op.name,
+            "dim": op.dim,
+            "monotone": mono.passed,
+            "coercive": coer.passed,
+        }
+        if mono.passed:
+            # the solve command's defaults, with target seeded_random:SEED:5
+            h = parse_target(f"seeded_random:{args.seed}:5", op.dim, args.seed)
+            rep = _run_solve(op, h, args.seed, ContinuationSchedule(), FlowConfig(), out)
+            (out / f"{op.name}_report.json").write_text(rep.to_json() + "\n")
+            row.update(
+                final_residual=rep.final_residual_eq5,
+                bound=rep.bound_report.passed,
+                minty=rep.minty_report.passed,
+                cauchy=rep.cauchy_report.passed,
+            )
+        rows.append(row)
+        print(json.dumps(row))
+
+    (out / "summary.json").write_text(json.dumps(rows, indent=2) + "\n")
+    print(f"\nwrote {out}/summary.json")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dsmsolve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--operator", choices=GALLERY_NAMES)
-        sp.add_argument("--dim", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--target")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--ode-tol", dest="ode_tol", type=float)
-        sp.add_argument("--max-t", dest="max_t", type=float)
-        sp.add_argument("--trace-dir", dest="trace_dir")
-        sp.add_argument("--report")
-        sp.add_argument("--config", help="JSON config file; flags override its values")
+    def add_command(name, func, help, seed=True, config=True):
+        sp = sub.add_parser(name, help=help, description=help,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.set_defaults(func=func, parser=sp)
+        sp.add_argument("--dim", type=int, default=5,
+                        help="dimension of the vector-valued operators; scalar ones have 1")
+        if seed:
+            sp.add_argument("--seed", type=int, default=1, help="root of every random substream")
+        if config:
+            sp.add_argument("--config", help="JSON object of flag values keyed by dest name "
+                            "(e.g. a_min); unknown keys are rejected and flags override it")
+        return sp
 
-    sp = sub.add_parser("gallery", help="list gallery operators")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--config")
-    sp.set_defaults(func=cmd_gallery)
+    def add_operator(sp):
+        sp.add_argument("--operator", choices=GALLERY_NAMES, help="gallery operator F (required)")
 
-    sp = sub.add_parser("verify", help="check monotonicity/coercivity declarations")
-    add_common(sp)
-    sp.set_defaults(func=cmd_verify)
+    def add_flow(sp, tol, tol_help, trace_dir, trace_help):
+        sp.add_argument("--target", default="ones", help="h: zeros, ones, ones*SCALE, "
+                        "explicit:1,2,3 or seeded_random:SEED:NORM_CAP")
+        sp.add_argument("--tol", type=float, default=tol, help=tol_help)
+        sp.add_argument("--ode-tol", dest="ode_tol", type=float, default=FlowConfig.ode_rel_tol,
+                        help="integrator error per unit time, relative to max(||v||, 1)")
+        sp.add_argument("--max-t", dest="max_t", type=float, default=FlowConfig.max_time,
+                        help="flow time horizon; None means ln(g0/residual_tol) + 5")
+        sp.add_argument("--trace-dir", dest="trace_dir", default=trace_dir, help=trace_help)
 
-    sp = sub.add_parser("flow", help="run one regularized flow and audit its trace")
-    add_common(sp)
-    sp.add_argument("--a", type=float)
+    add_command("gallery", cmd_gallery, "list gallery operators", seed=False)
+
+    sp = add_command("verify", cmd_verify, "check monotonicity/coercivity declarations")
+    add_operator(sp)
+
+    sp = add_command("flow", cmd_flow, "run one regularized flow and audit its trace")
+    add_operator(sp)
+    add_flow(sp, FlowConfig.residual_tol, "residual tolerance ||F(v)+av-h|| that ends the flow",
+             ".", "directory for the trace CSV")
+    sp.add_argument("--a", type=float, help="regularization parameter a > 0 (required)")
     sp.add_argument("--replay", help="verify a previously written trace CSV instead")
-    sp.set_defaults(func=cmd_flow)
 
-    sp = sub.add_parser("solve", help="full a->0 continuation solve")
-    add_common(sp)
-    sp.add_argument("--a0", type=float)
-    sp.add_argument("--decay-factor", dest="decay_factor", type=float)
-    sp.add_argument("--a-min", dest="a_min", type=float)
-    sp.add_argument("--oracle", action="store_true", default=None)
-    sp.set_defaults(func=cmd_solve)
+    sp = add_command("solve", cmd_solve, "full a->0 continuation solve")
+    add_operator(sp)
+    add_flow(sp, 1e-5, "certificate tolerance on ||F(u)-h|| and the oracle distance; "
+             f"every stage flow runs to residual {FlowConfig.residual_tol:g}",
+             None, "directory for the stage trace CSVs; None writes none")
+    sp.add_argument("--a0", type=float, default=ContinuationSchedule.a0, help="first a")
+    sp.add_argument("--decay-factor", dest="decay_factor", type=float,
+                    default=ContinuationSchedule.decay_factor, help="ratio between successive a")
+    sp.add_argument("--a-min", dest="a_min", type=float, default=ContinuationSchedule.a_min,
+                    help="last a")
+    sp.add_argument("--report", help="path for the JSON report")
+    sp.add_argument("--oracle", action="store_true", help="also compare with the oracle solution")
+
+    sp = add_command("sweep", cmd_sweep, "verify and solve every gallery operator",
+                     config=False)
+    sp.add_argument("--out", default="out", help="directory for reports, traces and summary.json")
     return p
 
 
+def _apply_config(args) -> None:
+    """Make the --config file's values the subcommand's defaults, so flags still win."""
+    sp = args.parser
+    try:
+        values = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        sp.error(f"cannot read --config {args.config}: {exc}")
+    if not isinstance(values, dict):
+        sp.error(f"--config {args.config} must hold a JSON object")
+    unknown = sorted(set(values) - (set(vars(args)) - {"command", "config", "func", "parser"}))
+    if unknown:
+        sp.error(f"--config {args.config}: unknown keys {', '.join(unknown)}")
+    # true/false set exactly the on/off flags; every other value is passed as a
+    # string, so it goes through its flag's own type conversion
+    mistyped = sorted(k for k, v in values.items()
+                      if isinstance(v, bool) != isinstance(getattr(args, k), bool))
+    if mistyped:
+        sp.error(f"--config {args.config}: true/false is for on/off flags only: "
+                 f"{', '.join(mistyped)}")
+    sp.set_defaults(**{k: v if isinstance(v, bool) else str(v) for k, v in values.items()})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.config_data = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        args.config_data = json.loads(Path(cfg_path).read_text())
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        _apply_config(args)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ArithmeticError as exc:  # overflow, a violated bound: the run failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (ValueError, KeyError, OSError) as exc:  # bad input or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -50,13 +50,8 @@ class FlowConfig:
     ode_rel_tol: float = 1e-8  # local error per unit time, relative to max(||v||, 1)
     residual_tol: float = 1e-10
     max_time: Optional[float] = None  # None: ln(g0/residual_tol) + 5
-    initial_step: float = 1e-2
-    min_step: float = 1e-12
-    max_step: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step")
         if self.ode_rel_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_time is not None and self.max_time <= 0:
@@ -69,6 +64,8 @@ class FlowTrace:
     g0: float
     ode_rel_tol: float
     # rows (t, g, g_theory, vdot_norm, vdot_bound, step_size), one per accepted step
+    # (the verifiers recompute g_theory and vdot_bound from t, g0 and a, so a replayed
+    # file cannot vouch for itself)
     records: list[tuple[float, float, float, float, float, float]] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)  # v(t) per record, not serialized
     terminated_by: str = "max_time_reached"
@@ -137,6 +134,9 @@ _DP_A_ARR = [np.array(row) for row in _DP_A]
 _DP_B5_ARR = np.array(_DP_B5)
 _DP_E_ARR = np.array(_DP_E)
 
+_INITIAL_STEP = 1e-2
+_MIN_STEP = 1e-12
+_MAX_STEP = 1.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -207,10 +207,10 @@ def integrate_flow(
         return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
     t = 0.0
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     err_prev = 1.0
     n = v.shape[0]
-    step_cap = min(cfg.max_step, _decay_step_cap(cfg.ode_rel_tol))
+    step_cap = min(_MAX_STEP, _decay_step_cap(cfg.ode_rel_tol))
     while True:
         # clamp the attempted step: global cap, horizon, t=1 checkpoint,
         # and the predicted landing time ln(g/tol) + margin
@@ -220,7 +220,7 @@ def integrate_flow(
         t_land = math.log(g / cfg.residual_tol) + _LANDING
         if t_land > 0:
             step = min(step, t_land)
-        if step < cfg.min_step:
+        if step < _MIN_STEP:
             trace.terminated_by = "step_underflow"
             break
 
@@ -267,8 +267,8 @@ def verify_decay(trace: FlowTrace, tol_factor: float = 100.0) -> ValidatorReport
         raise ValueError("empty trace")
     budget = tol_factor * trace.ode_rel_tol * trace.g0
     worst = 0.0
-    for t, g, g_theory, *_ in trace.records:
-        dev = abs(g - g_theory) / budget
+    for t, g, *_ in trace.records:
+        dev = abs(g - trace.g0 * math.exp(-t)) / budget
         worst = max(worst, dev)
     return ValidatorReport(
         passed=worst <= 1.0, samples_checked=len(trace.records), worst_value=worst
@@ -280,23 +280,21 @@ def verify_vdot_bound(trace: FlowTrace, slack: float = 1e-6) -> ValidatorReport:
     if not trace.records:
         raise ValueError("empty trace")
     worst = 0.0
-    for _, _, _, vdot_norm, vdot_bound, _ in trace.records:
-        worst = max(worst, vdot_norm / vdot_bound)
+    for t, _, _, vdot_norm, *_ in trace.records:
+        worst = max(worst, vdot_norm / (trace.g0 / trace.a * math.exp(-t)))
     return ValidatorReport(
         passed=worst <= 1.0 + slack, samples_checked=len(trace.records), worst_value=worst
     )
 
 
-def verify_tail_bound(
-    op: Operator, a: float, h, trace: FlowTrace, u_a, slack: float = 1e-3
-) -> ValidatorReport:
+def verify_tail_bound(trace: FlowTrace, u_a, slack: float = 1e-3) -> ValidatorReport:
     """Check ||v(t) - u_a|| <= (g0/a) e^-t (1+slack), u_a standing in for v(inf)."""
     if not trace.records or len(trace.states) != len(trace.records):
         raise ValueError("trace must carry states (not available after CSV round-trip)")
     u_a = np.asarray(u_a, dtype=float)
     worst = 0.0
     for (t, *_), v in zip(trace.records, trace.states):
-        bound = trace.g0 / a * math.exp(-t)
+        bound = trace.g0 / trace.a * math.exp(-t)
         worst = max(worst, float(np.linalg.norm(v - u_a)) / bound)
     return ValidatorReport(
         passed=worst <= 1.0 + slack, samples_checked=len(trace.records), worst_value=worst

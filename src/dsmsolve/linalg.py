@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .gallery import NumericalEvaluationError
 from .validation import ValidatorReport, unit_directions
 
 
@@ -28,7 +29,7 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 def _lu_factor_checked(Aa: np.ndarray):
     if not np.all(np.isfinite(Aa)):
-        raise ValueError("non-finite matrix entries")
+        raise NumericalEvaluationError("non-finite matrix entries")
     with warnings.catch_warnings():
         # exact singularity is detected below and raised as SingularSystemError
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -108,7 +108,7 @@ def test_criterion_2_velocity_and_tail_bounds(flow_sweep):
     worst_v = worst_t = 0.0
     for op, a, h, sol in flow_sweep:
         rv = verify_vdot_bound(sol.trace, slack=1e-6)
-        rt = verify_tail_bound(op, a, h, sol.trace, sol.u_a, slack=1e-3)
+        rt = verify_tail_bound(sol.trace, sol.u_a, slack=1e-3)
         assert rv.passed and rt.passed, (op.name, a)
         worst_v = max(worst_v, rv.worst_value)
         worst_t = max(worst_t, rt.worst_value)

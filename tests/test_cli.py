@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dsmsolve
 from dsmsolve.cli import main, parse_target
 
 
@@ -129,6 +134,25 @@ def test_solve_deterministic_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_flow_replay_recomputes_theory_columns(tmp_path, capsys):
+    rc = run_cli(
+        "flow", "--operator", "scalar_cubic", "--a", "0.5",
+        "--target", "explicit:[8]", "--trace-dir", str(tmp_path),
+    )
+    assert rc == 0
+    path = tmp_path / "scalar_cubic_a0.5.csv"
+    # the genuine trace replayed under another regularization
+    assert run_cli("flow", "--a", "123", "--replay", str(path)) == 1
+    # forge every row after the first, rewriting the theory columns to match
+    lines = path.read_text().splitlines()
+    for i in range(2, len(lines)):
+        t, g, g_theory, vdot_norm, vdot_bound, step = map(float, lines[i].split(","))
+        cols = (t, 2 * g, 2 * g_theory, 5 * vdot_norm, 5 * vdot_bound, step)
+        lines[i] = ",".join(repr(x) for x in cols)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 1
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"operator": "scalar_cubic", "target": "explicit:[8]", "a": 0.5}))
@@ -141,6 +165,75 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         "--trace-dir", str(tmp_path),
     )
     assert rc == 0
+
+    # a config file and the same values as flags give the same report bytes
+    cfg.write_text(json.dumps(
+        {"operator": "convex_gradient", "dim": 3, "target": "ones*2", "a_min": 1e-4, "tol": 1e-3}
+    ))
+    assert run_cli("solve", "--config", str(cfg), "--report", str(tmp_path / "file.json")) == 0
+    assert run_cli(
+        "solve", "--operator", "convex_gradient", "--dim", "3", "--target", "ones*2",
+        "--a-min", "1e-4", "--tol", "1e-3", "--report", str(tmp_path / "flags.json"),
+    ) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+    rc = run_cli(
+        "solve", "--config", str(cfg), "--target", "ones*3",
+        "--report", str(tmp_path / "override.json"),
+    )
+    assert rc == 0
+    assert json.loads((tmp_path / "file.json").read_text())["h"] == [2.0] * 3
+    assert json.loads((tmp_path / "override.json").read_text())["h"] == [3.0] * 3
+
+
+def test_sweep_matches_solve(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--dim", "2", "--out", str(out)) == 0
+    rows = json.loads((out / "summary.json").read_text())
+    assert [r["operator"] for r in rows] == list(dsmsolve.GALLERY_NAMES)
+    for row in rows:
+        keys = ["operator", "dim", "monotone", "coercive"]
+        if row["monotone"]:
+            keys += ["final_residual", "bound", "minty", "cauchy"]
+        assert list(row) == keys
+    assert not rows[2]["monotone"]  # scalar_negation is never solved
+    rc = run_cli(
+        "solve", "--operator", "convex_gradient", "--dim", "2", "--seed", "1",
+        "--target", "seeded_random:1:5", "--trace-dir", str(tmp_path / "tr"),
+        "--report", str(tmp_path / "rep.json"),
+    )
+    assert rc == 0
+    report = (out / "convex_gradient_report.json").read_bytes()
+    assert (tmp_path / "rep.json").read_bytes() == report
+
+
+_CONFIG_FILES = {
+    "malformed.json": '{"operator": ',
+    "unknown.json": '{"operator": "identity", "x": 1}',
+    "mistyped.json": '{"operator": "identity", "oracle": "no"}',
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["flow", "--operator", "scalar_negation", "--a", "2"], 1),
+    (["solve", "--operator", "scalar_cubic", "--target", "ones*1e200"], 1),
+    (["flow", "--a", "0.5", "--replay", "missing.csv"], 2),
+    (["solve", "--config", "missing.json"], 2),
+    (["solve", "--config", "malformed.json"], 2),
+    (["solve", "--config", "unknown.json"], 2),
+    (["solve", "--config", "mistyped.json"], 2),
+    (["verify", "--operator", "identity", "--target", "ones"], 2),
+])
+def test_failures_are_classified(tmp_path, argv, code):
+    for name, text in _CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(dsmsolve.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsmsolve.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_unknown_target_is_usage_error(capsys):

@@ -158,7 +158,7 @@ def test_verify_tail_identity_closed_form():
     op = make_operator("identity", 1)
     h = [4.0]
     sol = integrate_flow(op, 1.0, h, [0.0], FlowConfig())
-    rep = verify_tail_bound(op, 1.0, h, sol.trace, sol.u_a)
+    rep = verify_tail_bound(sol.trace, sol.u_a)
     assert rep.passed
     for (t, *_), v in zip(sol.trace.records, sol.trace.states):
         assert np.linalg.norm(v - sol.u_a) == pytest.approx(
@@ -170,7 +170,7 @@ def test_verify_tail_convex_gradient():
     op = make_operator("convex_gradient", 3)
     h = np.array([2.0, -1.0, 0.5])
     sol = integrate_flow(op, 0.1, h, np.zeros(3), FlowConfig())
-    assert verify_tail_bound(op, 0.1, h, sol.trace, sol.u_a).passed
+    assert verify_tail_bound(sol.trace, sol.u_a).passed
 
 
 def test_warm_start_preserves_decay_law():
@@ -214,8 +214,6 @@ def test_max_time_cap():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(min_step=1e-2, initial_step=1e-3)
     with pytest.raises(ValueError):
         FlowConfig(residual_tol=0.0)
 
