@@ -77,10 +77,6 @@ def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
     raise ValueError(f"unrecognized target spec {spec!r}")
 
 
-def _flow_config(args, residual_tol: float) -> FlowConfig:
-    return FlowConfig(ode_rel_tol=args.ode_tol, residual_tol=residual_tol, max_time=args.max_t)
-
-
 def _resolve_operator(args):
     if args.operator is None:
         raise ValueError("an operator name is required (--operator)")
@@ -89,8 +85,8 @@ def _resolve_operator(args):
 
 def _check_hypotheses(op, seed: int):
     """Empirical monotonicity and coercivity reports, as verify and sweep give them."""
-    mono = check_monotone(op, subseed(seed, "monotone"), n_pairs=500, radius=5.0, tol=1e-10)
-    coer = check_coercive(op, [1.0, 10.0, 100.0], subseed(seed, "coercive"), n_dirs=32)
+    mono = check_monotone(op, subseed(seed, "monotone"), n_pairs=500, radius=5.0)
+    coer = check_coercive(op, subseed(seed, "coercive"), n_dirs=32)
     return mono, coer
 
 
@@ -155,10 +151,10 @@ def cmd_flow(args) -> int:
     if a is None:
         print("flow requires --a", file=sys.stderr)
         return EXIT_USAGE
-    cfg = _flow_config(args, args.tol)
+    cfg = FlowConfig(residual_tol=args.tol)
 
     if args.replay is not None:
-        trace = trace_from_csv(args.replay, a, ode_rel_tol=cfg.ode_rel_tol)
+        trace = trace_from_csv(args.replay, a)
         checks = {"decay": verify_decay(trace), "vdot_bound": verify_vdot_bound(trace)}
         ok = True
         for name, rep in checks.items():
@@ -199,8 +195,7 @@ def cmd_solve(args) -> int:
     op = _resolve_operator(args)
     h = parse_target(args.target, op.dim, args.seed)
     sched = ContinuationSchedule(a0=args.a0, decay_factor=args.decay_factor, a_min=args.a_min)
-    cfg = _flow_config(args, FlowConfig.residual_tol)
-    report = _run_solve(op, h, args.seed, sched, cfg, args.trace_dir)
+    report = _run_solve(op, h, args.seed, sched, FlowConfig(), args.trace_dir)
 
     if args.report is not None:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
@@ -290,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--target", default="ones", help="h: zeros, ones, ones*SCALE, "
                         "explicit:1,2,3 or seeded_random:SEED:NORM_CAP")
         sp.add_argument("--tol", type=float, default=tol, help=tol_help)
-        sp.add_argument("--ode-tol", dest="ode_tol", type=float, default=FlowConfig.ode_rel_tol,
-                        help="integrator error per unit time, relative to max(||v||, 1)")
-        sp.add_argument("--max-t", dest="max_t", type=float, default=FlowConfig.max_time,
-                        help="flow time horizon; None means ln(g0/residual_tol) + 5")
         sp.add_argument("--trace-dir", dest="trace_dir", default=trace_dir, help=trace_help)
 
     add_command("gallery", cmd_gallery, "list gallery operators", seed=False)

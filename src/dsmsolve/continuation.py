@@ -166,30 +166,23 @@ def uniform_bound_check(op: Operator, h, stages: list[StageResult]) -> Validator
     )
 
 
-def minty_diagnostic(
-    op: Operator,
-    u,
-    h,
-    s_values=(1e-1, 1e-2, 1e-3),
-    n_dirs: int = 100,
-    seed: int = 0,
-) -> ValidatorReport:
-    """Directional test (h - F(u - s*eta), eta) >= -tol over seeded eta, s.
+_MINTY_STEPS = (1e-1, 1e-2, 1e-3)
+
+
+def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> ValidatorReport:
+    """Directional test (h - F(u - s*eta), eta) >= -tol over seeded eta, s in _MINTY_STEPS.
 
     Also evaluates the closing direction eta = h - F(u) and records its
     norm, which is exactly the equation residual ||F(u) - h||.
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    s_values = [float(s) for s in s_values]
-    if any(s <= 0 for s in s_values):
-        raise ValueError("s_values must be positive")
     tol = 1e-6 * (1.0 + float(np.linalg.norm(h)))
     rng = np.random.default_rng(seed)
     dirs = unit_directions(rng, n_dirs, op.dim)
     worst = np.inf
     witness = None
-    for s in s_values:
+    for s in _MINTY_STEPS:
         for eta in dirs:
             val = float(np.dot(h - evaluate(op, u - s * eta), eta))
             if val < worst:
@@ -201,7 +194,7 @@ def minty_diagnostic(
     passed = worst >= -tol
     return ValidatorReport(
         passed=passed,
-        samples_checked=len(s_values) * n_dirs,
+        samples_checked=len(_MINTY_STEPS) * n_dirs,
         worst_value=worst,
         witness=None if passed else witness,
         evidence=evidence,

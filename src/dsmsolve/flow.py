@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .gallery import Operator, evaluate, jacobian
+from .gallery import NumericalEvaluationError, Operator, evaluate, jacobian
 from .linalg import SingularSystemError, solve_regularized
 from .validation import ValidatorReport
 
@@ -47,22 +45,17 @@ class MonotoneBoundError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    ode_rel_tol: float = 1e-8  # local error per unit time, relative to max(||v||, 1)
     residual_tol: float = 1e-10
-    max_time: Optional[float] = None  # None: ln(g0/residual_tol) + 5
 
     def __post_init__(self):
-        if self.ode_rel_tol <= 0 or self.residual_tol <= 0:
+        if self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_time is not None and self.max_time <= 0:
-            raise ValueError("max_time must be positive")
 
 
 @dataclass
 class FlowTrace:
     a: float
     g0: float
-    ode_rel_tol: float
     # rows (t, g, g_theory, vdot_norm, vdot_bound, step_size), one per accepted step
     # (the verifiers recompute g_theory and vdot_bound from t, g0 and a, so a replayed
     # file cannot vouch for itself)
@@ -105,8 +98,10 @@ def dsm_rhs(op: Operator, a: float, h, v) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     r = evaluate(op, v) + a * v - h
-    w = -solve_regularized(jacobian(op, v), a, r)
     g = float(np.linalg.norm(r))
+    if not math.isfinite(g):
+        raise NumericalEvaluationError(f"non-finite residual norm for {op.name} at a={a:g}")
+    w = -solve_regularized(jacobian(op, v), a, r)
     wnorm = float(np.linalg.norm(w))
     if wnorm > (g / a) * (1.0 + 1e-6) + 1e-300:
         raise MonotoneBoundError(
@@ -117,7 +112,6 @@ def dsm_rhs(op: Operator, a: float, h, v) -> np.ndarray:
 
 
 # Dormand-Prince 4(5) tableau; 5th-order solution propagated, FSAL
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -134,6 +128,8 @@ _DP_A_ARR = [np.array(row) for row in _DP_A]
 _DP_B5_ARR = np.array(_DP_B5)
 _DP_E_ARR = np.array(_DP_E)
 
+_ODE_REL_TOL = 1e-8  # local error per unit time, relative to max(||v||, 1)
+_HORIZON_MARGIN = 5.0  # the flow stops at t = ln(g0/residual_tol) + this margin
 _INITIAL_STEP = 1e-2
 _MIN_STEP = 1e-12
 _MAX_STEP = 1.0
@@ -143,9 +139,19 @@ _MAX_FACTOR = 5.0
 # landing margin past the predicted time-to-tolerance, so the final
 # accepted step ends just below residual_tol
 _LANDING = 0.05
+# decay-law budget |g - g0 e^-t| <= _DECAY_FACTOR * _ODE_REL_TOL * g0, and the
+# relative slack of the velocity and tail bounds
+_DECAY_FACTOR = 100.0
+_VDOT_SLACK = 1e-6
+_TAIL_SLACK = 1e-3
+# an exception from the rhs ends the stage with this terminated_by reason
+_STAGE_STOPS = (SingularSystemError, MonotoneBoundError)
 
 
-@lru_cache(maxsize=None)
+def _stop_reason(exc: ArithmeticError) -> str:
+    return "solver_error" if isinstance(exc, SingularSystemError) else "monotone_bound_violated"
+
+
 def _decay_step_cap(rel_tol: float) -> float:
     """Largest h with |R(-h) - e^-h| <= rel_tol * h, R the 5th-order stability fn.
 
@@ -176,6 +182,9 @@ def _decay_step_cap(rel_tol: float) -> float:
     return lo
 
 
+_STEP_CAP = min(_MAX_STEP, _decay_step_cap(_ODE_REL_TOL))
+
+
 def integrate_flow(
     op: Operator, a: float, h, v0, cfg: FlowConfig
 ) -> RegularizedSolution:
@@ -189,16 +198,12 @@ def integrate_flow(
     rhs = lambda x: dsm_rhs(op, a, h_vec, x)
 
     g = residual(op, a, h_vec, v)
-    trace = FlowTrace(a=a, g0=g, ode_rel_tol=cfg.ode_rel_tol)
-    max_time = cfg.max_time
-    if max_time is None:
-        max_time = math.log(max(g, cfg.residual_tol) / cfg.residual_tol) + 5.0 if g > cfg.residual_tol else 1.0
-
+    trace = FlowTrace(a=a, g0=g)
     try:
         k1 = rhs(v)
-    except SingularSystemError:
+    except _STAGE_STOPS as exc:
         trace.append(0.0, v, g, float("nan"), 0.0)
-        trace.terminated_by = "solver_error"
+        trace.terminated_by = _stop_reason(exc)
         return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
     trace.append(0.0, v, g, float(np.linalg.norm(k1)), 0.0)
@@ -206,15 +211,15 @@ def integrate_flow(
         trace.terminated_by = "residual_tol_reached"
         return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
+    max_time = math.log(g / cfg.residual_tol) + _HORIZON_MARGIN
     t = 0.0
     step = _INITIAL_STEP
     err_prev = 1.0
     n = v.shape[0]
-    step_cap = min(_MAX_STEP, _decay_step_cap(cfg.ode_rel_tol))
     while True:
         # clamp the attempted step: global cap, horizon, t=1 checkpoint,
         # and the predicted landing time ln(g/tol) + margin
-        step = min(step, step_cap, max_time - t)
+        step = min(step, _STEP_CAP, max_time - t)
         if t < 1.0 < t + step:
             step = 1.0 - t
         t_land = math.log(g / cfg.residual_tol) + _LANDING
@@ -232,11 +237,11 @@ def integrate_flow(
                 k[i] = rhs(vi)
             v5 = v + step * (_DP_B5_ARR @ k)
             err_vec = step * (_DP_E_ARR @ k)
-        except SingularSystemError:
-            trace.terminated_by = "solver_error"
+        except _STAGE_STOPS as exc:
+            trace.terminated_by = _stop_reason(exc)
             break
 
-        scale = cfg.ode_rel_tol * step * max(float(np.linalg.norm(v5)), 1.0)
+        scale = _ODE_REL_TOL * step * max(float(np.linalg.norm(v5)), 1.0)
         err = float(np.linalg.norm(err_vec)) / scale
         if err <= 1.0:
             t += step
@@ -261,43 +266,46 @@ def integrate_flow(
     return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
 
-def verify_decay(trace: FlowTrace, tol_factor: float = 100.0) -> ValidatorReport:
-    """Check |g(t) - g0 e^-t| <= tol_factor * ode_rel_tol * g0 on every record."""
-    if not trace.records:
-        raise ValueError("empty trace")
-    budget = tol_factor * trace.ode_rel_tol * trace.g0
-    worst = 0.0
-    for t, g, *_ in trace.records:
-        dev = abs(g - trace.g0 * math.exp(-t)) / budget
-        worst = max(worst, dev)
+def _ratio_report(ratios: list[float], limit: float) -> ValidatorReport:
+    """Pass iff every ratio is finite and <= limit; a non-finite ratio is the worst."""
+    worst = next((x for x in ratios if not math.isfinite(x)), max(0.0, *ratios))
     return ValidatorReport(
-        passed=worst <= 1.0, samples_checked=len(trace.records), worst_value=worst
+        passed=math.isfinite(worst) and worst <= limit,
+        samples_checked=len(ratios),
+        worst_value=worst,
     )
 
 
-def verify_vdot_bound(trace: FlowTrace, slack: float = 1e-6) -> ValidatorReport:
-    """Check ||v'|| <= (g0/a) e^-t (1+slack) on every record."""
+def verify_decay(trace: FlowTrace) -> ValidatorReport:
+    """Check |g(t) - g0 e^-t| <= _DECAY_FACTOR * _ODE_REL_TOL * g0 on every record."""
     if not trace.records:
         raise ValueError("empty trace")
-    worst = 0.0
-    for t, _, _, vdot_norm, *_ in trace.records:
-        worst = max(worst, vdot_norm / (trace.g0 / trace.a * math.exp(-t)))
-    return ValidatorReport(
-        passed=worst <= 1.0 + slack, samples_checked=len(trace.records), worst_value=worst
+    budget = _DECAY_FACTOR * _ODE_REL_TOL * trace.g0
+    return _ratio_report(
+        [abs(g - trace.g0 * math.exp(-t)) / budget for t, g, *_ in trace.records], 1.0
     )
 
 
-def verify_tail_bound(trace: FlowTrace, u_a, slack: float = 1e-3) -> ValidatorReport:
-    """Check ||v(t) - u_a|| <= (g0/a) e^-t (1+slack), u_a standing in for v(inf)."""
+def verify_vdot_bound(trace: FlowTrace) -> ValidatorReport:
+    """Check ||v'|| <= (g0/a) e^-t (1 + _VDOT_SLACK) on every record."""
+    if not trace.records:
+        raise ValueError("empty trace")
+    return _ratio_report(
+        [vdot_norm / (trace.g0 / trace.a * math.exp(-t))
+         for t, _, _, vdot_norm, *_ in trace.records],
+        1.0 + _VDOT_SLACK,
+    )
+
+
+def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
+    """Check ||v(t) - u_a|| <= (g0/a) e^-t (1 + _TAIL_SLACK), u_a standing in for v(inf)."""
     if not trace.records or len(trace.states) != len(trace.records):
         raise ValueError("trace must carry states (not available after CSV round-trip)")
     u_a = np.asarray(u_a, dtype=float)
-    worst = 0.0
-    for (t, *_), v in zip(trace.records, trace.states):
-        bound = trace.g0 / trace.a * math.exp(-t)
-        worst = max(worst, float(np.linalg.norm(v - u_a)) / bound)
-    return ValidatorReport(
-        passed=worst <= 1.0 + slack, samples_checked=len(trace.records), worst_value=worst
+    return _ratio_report(
+        [float(np.linalg.norm(v - u_a)) / (trace.g0 / trace.a * math.exp(-t))
+         for (t, *_), v in zip(trace.records, trace.states)],
+        1.0 + _TAIL_SLACK,
     )
 
 
@@ -344,7 +352,7 @@ def trace_to_csv(trace: FlowTrace, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def trace_from_csv(path, a: float, ode_rel_tol: float = 1e-8) -> FlowTrace:
+def trace_from_csv(path, a: float) -> FlowTrace:
     """Rebuild a trace (without states) from its CSV serialization."""
     with open(path) as f:
         header = f.readline().strip()
@@ -361,6 +369,4 @@ def trace_from_csv(path, a: float, ode_rel_tol: float = 1e-8) -> FlowTrace:
             records.append(vals)
     if not records:
         raise ValueError("empty trace file")
-    return FlowTrace(
-        a=a, g0=records[0][1], ode_rel_tol=ode_rel_tol, records=records, states=[]
-    )
+    return FlowTrace(a=a, g0=records[0][1], records=records, states=[])

@@ -44,6 +44,11 @@ class Operator:
     declared_coercive: bool = False
 
 
+_FD_STEP = 1e-6
+_MONOTONE_TOL = 1e-10
+_COERCIVE_RADII = (1.0, 10.0, 100.0)
+
+
 def _as_vector(u, dim: int) -> Array:
     v = np.asarray(u, dtype=float)
     if v.ndim != 1 or v.shape[0] != dim:
@@ -64,13 +69,11 @@ def evaluate(op: Operator, u) -> Array:
     return out
 
 
-def jacobian(op: Operator, u, fd_step: float = 1e-6) -> Array:
+def jacobian(op: Operator, u) -> Array:
     """F'(u): analytic if available, else central finite differences.
 
-    The finite-difference step per coordinate is fd_step*(1+|u_j|).
+    The finite-difference step per coordinate is _FD_STEP*(1+|u_j|).
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     v = _as_vector(u, op.dim)
     if op.jac is not None:
         J = np.asarray(op.jac(v), dtype=float)
@@ -81,7 +84,7 @@ def jacobian(op: Operator, u, fd_step: float = 1e-6) -> Array:
         return J
     J = np.empty((op.dim, op.dim))
     for j in range(op.dim):
-        h = fd_step * (1.0 + abs(v[j]))
+        h = _FD_STEP * (1.0 + abs(v[j]))
         e = np.zeros(op.dim)
         e[j] = h
         J[:, j] = (evaluate(op, v + e) - evaluate(op, v - e)) / (2.0 * h)
@@ -104,9 +107,8 @@ def check_monotone(
     sampler_seed: int,
     n_pairs: int,
     radius: float,
-    tol: float = 1e-10,
 ) -> ValidatorReport:
-    """Sampled test of (F(u)-F(v), u-v) >= -tol on pairs in a ball."""
+    """Sampled test of (F(u)-F(v), u-v) >= -_MONOTONE_TOL on pairs in a ball."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(sampler_seed)
@@ -119,7 +121,7 @@ def check_monotone(
         if pairing < worst:
             worst = pairing
             witness = (u, v)
-    passed = worst >= -tol
+    passed = worst >= -_MONOTONE_TOL
     return ValidatorReport(
         passed=passed,
         samples_checked=n_pairs,
@@ -128,28 +130,20 @@ def check_monotone(
     )
 
 
-def check_coercive(
-    op: Operator,
-    radii,
-    directions_seed: int,
-    n_dirs: int,
-) -> ValidatorReport:
-    """Growth test of q(r,d) = (u, F(u))/||u|| along rays u = r*d.
+def check_coercive(op: Operator, directions_seed: int, n_dirs: int) -> ValidatorReport:
+    """Growth test of q(r,d) = (u, F(u))/||u|| along rays u = r*d, r in _COERCIVE_RADII.
 
     Probes the +-coordinate axes plus n_dirs seeded random unit
     directions; passes iff min_d q(r,d) is strictly increasing in r and
     grows by at least a factor 2 from the smallest to the largest
     radius.  A finite-radius proxy for the true limit condition.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 2 or any(r <= 0 for r in radii) or sorted(radii) != radii:
-        raise ValueError("radii must be >= 2 ascending positive reals")
     rng = np.random.default_rng(directions_seed)
     axes = np.vstack([np.eye(op.dim), -np.eye(op.dim)])
     dirs = np.vstack([axes, unit_directions(rng, n_dirs, op.dim)])
     q_min = []
     argmin_dir = []
-    for r in radii:
+    for r in _COERCIVE_RADII:
         qs = np.array([float(np.dot(r * d, evaluate(op, r * d))) / r for d in dirs])
         k = int(np.argmin(qs))
         q_min.append(float(qs[k]))
@@ -157,13 +151,13 @@ def check_coercive(
     increasing = all(b > a for a, b in zip(q_min, q_min[1:]))
     doubled = q_min[-1] >= 2.0 * q_min[0]
     passed = increasing and doubled
-    u_worst = radii[-1] * argmin_dir[-1]
+    u_worst = _COERCIVE_RADII[-1] * argmin_dir[-1]
     return ValidatorReport(
         passed=passed,
-        samples_checked=len(radii) * len(dirs),
+        samples_checked=len(_COERCIVE_RADII) * len(dirs),
         worst_value=q_min[-1],
         witness=None if passed else (u_worst, evaluate(op, u_worst)),
-        evidence={f"q_min_r{r:g}": q for r, q in zip(radii, q_min)},
+        evidence={f"q_min_r{r:g}": q for r, q in zip(_COERCIVE_RADII, q_min)},
     )
 
 

@@ -14,24 +14,23 @@ from .gallery import Operator, evaluate, jacobian
 __all__ = ["damped_newton", "bisection_1d", "oracle_solve", "OracleFailure"]
 
 
+_TOL = 1e-12  # residual for Newton, bracket width for bisection
+_MAX_ITER = 200
+_BRACKET_CAP = 1e12
+
+
 class OracleFailure(RuntimeError):
     """The cross-check solver did not converge."""
 
 
-def damped_newton(
-    op: Operator,
-    h,
-    x0=None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
+def damped_newton(op: Operator, h, x0=None) -> np.ndarray:
     """Newton iteration with backtracking line search on ||F(x) - h||."""
     h = np.asarray(h, dtype=float)
     x = np.zeros(op.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = evaluate(op, x) - h
     rnorm = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(_MAX_ITER):
+        if rnorm <= _TOL:
             return x
         J = jacobian(op, x)
         try:
@@ -48,12 +47,12 @@ def damped_newton(
         else:
             raise OracleFailure(f"line search stalled for {op.name} at residual {rnorm:.3e}")
         x, r, rnorm = x_new, r_new, np.linalg.norm(r_new)
-    if rnorm <= tol:
+    if rnorm <= _TOL:
         return x
     raise OracleFailure(f"no convergence for {op.name}: residual {rnorm:.3e}")
 
 
-def bisection_1d(op: Operator, h, tol: float = 1e-12, bracket_cap: float = 1e12) -> np.ndarray:
+def bisection_1d(op: Operator, h) -> np.ndarray:
     """Root of F(x) = h for scalar operators by bracketing + bisection."""
     if op.dim != 1:
         raise ValueError("bisection oracle is one-dimensional")
@@ -62,14 +61,14 @@ def bisection_1d(op: Operator, h, tol: float = 1e-12, bracket_cap: float = 1e12)
     r = 1.0
     while f(-r) > 0 or f(r) < 0:
         r *= 2.0
-        if r > bracket_cap:
+        if r > _BRACKET_CAP:
             raise OracleFailure("could not bracket a root (operator not coercive?)")
     lo, hi = -r, r
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
+        if fm == 0.0 or hi - lo < _TOL:
             return np.array([mid])
         if (flo < 0) == (fm < 0):
             lo, flo = mid, fm
@@ -78,11 +77,11 @@ def bisection_1d(op: Operator, h, tol: float = 1e-12, bracket_cap: float = 1e12)
     return np.array([0.5 * (lo + hi)])
 
 
-def oracle_solve(op: Operator, h, tol: float = 1e-12) -> np.ndarray:
+def oracle_solve(op: Operator, h) -> np.ndarray:
     """Damped Newton, falling back to bisection for scalar operators."""
     try:
-        return damped_newton(op, h, tol=tol)
+        return damped_newton(op, h)
     except OracleFailure:
         if op.dim == 1:
-            return bisection_1d(op, h, tol=tol)
+            return bisection_1d(op, h)
         raise

@@ -214,7 +214,7 @@ _CONFIG_FILES = {
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["flow", "--operator", "scalar_negation", "--a", "2"], 1),
+    (["solve", "--operator", "convex_gradient", "--target", "ones*1e200"], 1),
     (["solve", "--operator", "scalar_cubic", "--target", "ones*1e200"], 1),
     (["flow", "--a", "0.5", "--replay", "missing.csv"], 2),
     (["solve", "--config", "missing.json"], 2),
@@ -234,6 +234,69 @@ def test_failures_are_classified(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_is_named_at_the_residual(capsys):
+    assert run_cli("solve", "--operator", "scalar_cubic", "--target", "ones*1e200") == 1
+    err = capsys.readouterr().err
+    assert "scalar_cubic" in err
+    assert "non-finite matrix entries" not in err
+
+
+def test_monotone_bound_violation_ends_the_flow(tmp_path, capsys):
+    rc = run_cli("flow", "--operator", "scalar_negation", "--a", "2", "--trace-dir", str(tmp_path))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "terminated_by=monotone_bound_violated" in captured.out
+    assert "failed: convergence" in captured.err
+    assert "error:" not in captured.err
+
+
+def _genuine_trace(tmp_path):
+    rc = run_cli(
+        "flow", "--operator", "scalar_cubic", "--a", "0.5",
+        "--target", "explicit:[8]", "--trace-dir", str(tmp_path),
+    )
+    assert rc == 0
+    return tmp_path / "scalar_cubic_a0.5.csv"
+
+
+def _rewrite_rows(path, rewrite):
+    """Apply rewrite(cols) to every row after row 0 of a trace CSV."""
+    lines = path.read_text().splitlines()
+    for i in range(2, len(lines)):
+        cols = lines[i].split(",")
+        rewrite(cols)
+        lines[i] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_replay_budget_cannot_be_loosened(tmp_path, capsys):
+    path = _genuine_trace(tmp_path)
+
+    def double_g(cols):
+        cols[1] = repr(2 * float(cols[1]))
+
+    _rewrite_rows(path, double_g)
+    assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("flow", "--a", "0.5", "--ode-tol", "0.01", "--replay", str(path))
+    assert exc.value.code == 2
+
+
+def test_replay_rejects_nan_rows(tmp_path, capsys):
+    path = _genuine_trace(tmp_path)
+
+    def to_nan(cols):
+        cols[1] = cols[3] = "nan"
+
+    _rewrite_rows(path, to_nan)
+    capsys.readouterr()
+    assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "decay: FAIL (worst nan)" in out
+    assert "vdot_bound: FAIL (worst nan)" in out
 
 
 def test_unknown_target_is_usage_error(capsys):

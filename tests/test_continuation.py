@@ -131,10 +131,14 @@ def test_minty_on_computed_solution():
     assert m.passed
 
 
-def test_minty_rejects_nonpositive_s():
-    op = make_operator("identity", 2)
-    with pytest.raises(ValueError):
-        minty_diagnostic(op, [0.0, 0.0], [1.0, 1.0], s_values=[0.0])
+def test_monotone_bound_violation_gives_partial_report():
+    # F'(u) + aI = 1 at a = 2 is invertible, but ||v'|| = 2 g/a at the start
+    op = make_operator("scalar_negation")
+    sched = ContinuationSchedule(a0=2.0, decay_factor=0.5, a_min=0.5)
+    rep = run_continuation(op, [1.0], sched, FlowConfig())
+    assert rep.failed_stage == 0
+    assert rep.stages[0].terminated_by == "monotone_bound_violated"
+    assert not rep.all_passed
 
 
 def test_verify_solution():

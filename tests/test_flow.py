@@ -14,6 +14,7 @@ from dsmsolve import (
     verify_tail_bound,
     verify_vdot_bound,
 )
+from dsmsolve import flow
 from dsmsolve.flow import FlowTrace, trace_from_csv, trace_to_csv
 
 # frozen bisection-oracle roots (tol 1e-14)
@@ -115,18 +116,28 @@ def test_record_at_t_equal_one():
 
 def test_verify_decay_passes_on_real_trace():
     op = make_operator("identity", 1)
-    sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig(ode_rel_tol=1e-8))
+    sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig())
     assert verify_decay(sol.trace).passed
 
 
 def test_verify_decay_rejects_forged_trace():
     # constant g over [0, 1] cannot be a flow trace
-    trace = FlowTrace(a=1.0, g0=1.0, ode_rel_tol=1e-8)
+    trace = FlowTrace(a=1.0, g0=1.0)
     for t in (0.0, 0.5, 1.0):
         trace.records.append((t, 1.0, math.exp(-t), 0.0, math.exp(-t), 0.5))
     rep = verify_decay(trace)
     assert not rep.passed
     assert rep.worst_value == pytest.approx((1 - math.exp(-1)) / (100 * 1e-8 * 1.0))
+
+
+def test_verifiers_reject_non_finite_values():
+    op = make_operator("identity", 1)
+    sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig())
+    t, g, g_theory, _, vdot_bound, step = sol.trace.records[-1]
+    sol.trace.records[-1] = (t, g, g_theory, -math.inf, vdot_bound, step)
+    assert not verify_vdot_bound(sol.trace).passed
+    sol.trace.states[-1] = np.array([math.nan])
+    assert not verify_tail_bound(sol.trace, sol.u_a).passed
 
 
 def test_verify_vdot_passes_on_real_trace():
@@ -138,7 +149,7 @@ def test_verify_vdot_passes_on_real_trace():
 
 
 def test_verify_vdot_rejects_forged_violation():
-    trace = FlowTrace(a=0.5, g0=2.0, ode_rel_tol=1e-8)
+    trace = FlowTrace(a=0.5, g0=2.0)
     trace.records.append((0.0, 2.0, 2.0, 2 * 2.0 / 0.5, 2.0 / 0.5, 0.0))
     assert not verify_vdot_bound(trace).passed
 
@@ -205,12 +216,13 @@ def test_check_uniqueness_rank_one():
     assert check_uniqueness(op, 0.5, h, starts, FlowConfig()).passed
 
 
-def test_max_time_cap():
+def test_max_time_cap(monkeypatch):
+    # a negative margin puts the horizon before the flow can reach residual_tol
+    monkeypatch.setattr(flow, "_HORIZON_MARGIN", -10.0)
     op = make_operator("identity", 1)
-    cfg = FlowConfig(max_time=2.0)
-    sol = integrate_flow(op, 1.0, [4.0], [0.0], cfg)
+    sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig())
     assert sol.trace.terminated_by == "max_time_reached"
-    assert sol.trace.records[-1][0] == pytest.approx(2.0, abs=1e-12)
+    assert sol.trace.records[-1][0] == pytest.approx(math.log(4.0 / 1e-10) - 10.0, abs=1e-12)
 
 
 def test_flow_config_validation():
