@@ -347,7 +347,10 @@ def main(argv=None) -> int:
         _apply_config(args)
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported by the finiteness checks as a classified error:
+        # numpy's own RuntimeWarning would only repeat it on stderr
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except ArithmeticError as exc:  # overflow, a violated bound: the run failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

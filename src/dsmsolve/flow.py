@@ -63,9 +63,12 @@ class FlowTrace:
     states: list[np.ndarray] = field(default_factory=list)  # v(t) per record, not serialized
     terminated_by: str = "max_time_reached"
 
+    def laws(self, t: float) -> tuple[float, float]:
+        """(g0 e^-t, (g0/a) e^-t): the residual law and the velocity and tail bound at t."""
+        return self.g0 * math.exp(-t), self.g0 / self.a * math.exp(-t)
+
     def append(self, t: float, v: np.ndarray, g: float, vdot_norm: float, step: float):
-        g_theory = self.g0 * math.exp(-t)
-        vdot_bound = self.g0 / self.a * math.exp(-t)
+        g_theory, vdot_bound = self.laws(t)
         self.records.append((t, g, g_theory, vdot_norm, vdot_bound, step))
         self.states.append(v.copy())
 
@@ -266,6 +269,11 @@ def integrate_flow(
     return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
 
+def _ratio(value: float, bound: float) -> float:
+    """value / bound; against a zero bound (a flow that starts at the solution) 0 or inf."""
+    return value / bound if bound else (0.0 if value == 0.0 else math.inf)
+
+
 def _ratio_report(ratios: list[float], limit: float) -> ValidatorReport:
     """Pass iff every ratio is finite and <= limit; a non-finite ratio is the worst."""
     worst = next((x for x in ratios if not math.isfinite(x)), max(0.0, *ratios))
@@ -282,7 +290,7 @@ def verify_decay(trace: FlowTrace) -> ValidatorReport:
         raise ValueError("empty trace")
     budget = _DECAY_FACTOR * _ODE_REL_TOL * trace.g0
     return _ratio_report(
-        [abs(g - trace.g0 * math.exp(-t)) / budget for t, g, *_ in trace.records], 1.0
+        [_ratio(abs(g - trace.laws(t)[0]), budget) for t, g, *_ in trace.records], 1.0
     )
 
 
@@ -291,8 +299,7 @@ def verify_vdot_bound(trace: FlowTrace) -> ValidatorReport:
     if not trace.records:
         raise ValueError("empty trace")
     return _ratio_report(
-        [vdot_norm / (trace.g0 / trace.a * math.exp(-t))
-         for t, _, _, vdot_norm, *_ in trace.records],
+        [_ratio(vdot_norm, trace.laws(t)[1]) for t, _, _, vdot_norm, *_ in trace.records],
         1.0 + _VDOT_SLACK,
     )
 
@@ -303,7 +310,7 @@ def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
         raise ValueError("trace must carry states (not available after CSV round-trip)")
     u_a = np.asarray(u_a, dtype=float)
     return _ratio_report(
-        [float(np.linalg.norm(v - u_a)) / (trace.g0 / trace.a * math.exp(-t))
+        [_ratio(float(np.linalg.norm(v - u_a)), trace.laws(t)[1])
          for (t, *_), v in zip(trace.records, trace.states)],
         1.0 + _TAIL_SLACK,
     )

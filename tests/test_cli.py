@@ -233,10 +233,10 @@ def test_failures_are_classified(tmp_path, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert "error:" in proc.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_is_named_at_the_residual(capsys):
     assert run_cli("solve", "--operator", "scalar_cubic", "--target", "ones*1e200") == 1
     err = capsys.readouterr().err
@@ -251,6 +251,23 @@ def test_monotone_bound_violation_ends_the_flow(tmp_path, capsys):
     assert "terminated_by=monotone_bound_violated" in captured.out
     assert "failed: convergence" in captured.err
     assert "error:" not in captured.err
+
+
+def test_flow_that_starts_at_the_solution_passes(tmp_path, capsys):
+    # u = 0 solves u = 0 exactly: g0 = 0, so every law bound is 0 and the trace has one row
+    rc = run_cli(
+        "flow", "--operator", "identity", "--target", "zeros", "--a", "1",
+        "--trace-dir", str(tmp_path),
+    )
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.count(": pass") == 3
+    path = tmp_path / "identity_a1.csv"
+    assert len(path.read_text().splitlines()) == 2
+    assert run_cli("flow", "--a", "1", "--replay", str(path)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(": pass") == 2
+    assert captured.err == ""
 
 
 def _genuine_trace(tmp_path):

@@ -43,6 +43,16 @@ def test_flow_trace_bytes(tmp_path):
     )
 
 
+def test_continuation_report_bytes_n20():
+    # the gallery's worst-conditioned operator, with an n=20 LU at every flow point
+    op = make_operator("spd_tridiag", 20)
+    h = np.random.default_rng(20).standard_normal(20)
+    report = run_continuation(op, h, ContinuationSchedule(), FlowConfig())
+    assert _sha256(report.to_json().encode()) == (
+        "e7e7367646aafd3561cbb8b9d1765029f20f000c05b47c4e0ffb394d9264c5af"
+    )
+
+
 def test_oracle_solution_bytes():
     h = np.random.default_rng(20).standard_normal(20)
     u = oracle_solve(make_operator("spd_tridiag", 20), h)

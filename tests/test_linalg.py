@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsmsolve import (
     SingularSystemError,
@@ -9,6 +12,7 @@ from dsmsolve import (
     min_sym_eig,
     solve_regularized,
 )
+from dsmsolve.validation import unit_directions
 
 from conftest import MONOTONE_NAMES, seeded_points
 
@@ -36,10 +40,18 @@ def test_solve_rejects_nonpositive_a():
         solve_regularized(np.eye(2), 0.0, np.array([1.0, 1.0]))
 
 
+def _reference_solve(A, a, rhs):
+    """scipy's lu_factor/lu_solve on A + a*np.eye(n): the same LAPACK routines."""
+    lu_piv = scipy.linalg.lu_factor(A + a * np.eye(A.shape[0]), check_finite=False)
+    return scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+
+
 def test_solve_singular_raises():
-    # A = -aI makes A + aI exactly singular
-    with pytest.raises(SingularSystemError) as exc:
-        solve_regularized(-0.5 * np.eye(3), 0.5, np.ones(3))
+    # A = -aI makes A + aI exactly singular: a zero pivot, raised without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError) as exc:
+            solve_regularized(-0.5 * np.eye(3), 0.5, np.ones(3))
     assert exc.value.pivot >= 0.0
 
 
@@ -54,6 +66,7 @@ def test_solve_residual_seeded_systems():
         x = solve_regularized(A, a, rhs)
         res = np.linalg.norm((A + a * np.eye(n)) @ x - rhs)
         assert res / max(np.linalg.norm(rhs), 1e-300) <= 1e-10
+        assert x.tobytes() == _reference_solve(A, a, rhs).tobytes()
 
 
 def test_min_sym_eig_skew():
@@ -97,14 +110,23 @@ def test_inv_norm_bound_skew_plus_cubic():
 
 
 def test_inv_norm_bound_gallery_sweep(gallery5):
-    """||(F'(u) + aI)^-1|| <= 1/a holds at seeded points for monotone members."""
+    """||(F'(u) + aI)^-1|| <= 1/a holds at seeded points for monotone members.
+
+    Every solve is also bit-identical to the scipy reference.
+    """
     for op in gallery5:
         if op.name not in MONOTONE_NAMES:
             continue
+        probes = unit_directions(np.random.default_rng(77), 50, op.dim)
         for u in seeded_points(21, 20, op.dim):
+            J = jacobian(op, u)
             for a in (1.0, 0.1, 0.01):
-                rep = inv_norm_bound_check(jacobian(op, u), a, 50, 77)
+                rep = inv_norm_bound_check(J, a, 50, 77)
                 assert rep.passed, (op.name, a)
+                worst = max(a * float(np.linalg.norm(_reference_solve(J, a, w))) for w in probes)
+                assert rep.worst_value == worst, (op.name, a)
+                x = solve_regularized(J, a, u)
+                assert x.tobytes() == _reference_solve(J, a, u).tobytes(), (op.name, a)
 
 
 def test_inv_norm_bound_violated_for_negative_definite():
