@@ -173,7 +173,8 @@ def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> Va
     """Directional test (h - F(u - s*eta), eta) >= -tol over seeded eta, s in _MINTY_STEPS.
 
     Also evaluates the closing direction eta = h - F(u) and records its
-    norm, which is exactly the equation residual ||F(u) - h||.
+    norm, which is exactly the equation residual ||F(u) - h||.  Fails when
+    tol or that norm is not finite.
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -191,7 +192,8 @@ def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> Va
     r = h - evaluate(op, u)
     r_norm = float(np.linalg.norm(r))
     evidence = {"closing_direction_value": r_norm}  # (r, r)/||r|| == ||r||
-    passed = worst >= -tol
+    # an overflowing ||h|| would make tol infinite, which any worst value meets
+    passed = math.isfinite(tol) and math.isfinite(r_norm) and worst >= -tol
     return ValidatorReport(
         passed=passed,
         samples_checked=len(_MINTY_STEPS) * n_dirs,

@@ -6,6 +6,9 @@ certified here probabilistically with probe vectors.
 
 A + aI is factored by LAPACK getrf/getrs, called directly.  The tiny-pivot
 check (SingularSystemError) also covers an exactly zero pivot (getrf info > 0).
+An unchanged A + aI reuses its factors: the last successful factorization is
+kept, keyed on the exact bytes of A + aI, so a linear operator, whose Jacobian
+is constant, factors once per value of a.
 """
 
 from __future__ import annotations
@@ -28,17 +31,33 @@ class SingularSystemError(np.linalg.LinAlgError):
         self.pivot = pivot
 
 
+_EPS = np.finfo(float).eps
+
+# (A + aI bytes, lu, piv) of the last factorization that passed its checks.
+# The key is the matrix getrf receives, bit for bit, so a hit returns the
+# factors getrf would compute and the checks, which read only those bits,
+# still hold.  A failing matrix is never stored, so it raises on every call.
+_last_factor = None
+
+
 def _factor_regularized(A: np.ndarray, a: float):
+    global _last_factor
     if a <= 0:
         raise ValueError("regularization parameter a must be positive")
     Aa = A + a * np.eye(A.shape[0])
-    if not np.all(np.isfinite(Aa)):
+    key = Aa.tobytes()
+    last = _last_factor  # one read, so the key and the factors belong together
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    if not np.isfinite(Aa).all():
         raise NumericalEvaluationError("non-finite matrix entries")
-    tiny = np.finfo(float).eps * max(1.0, float(np.abs(Aa).max())) * Aa.shape[0]
+    tiny = _EPS * max(1.0, float(np.abs(Aa).max())) * Aa.shape[0]
     lu, piv, _ = dgetrf(Aa)
-    pivot = float(np.abs(np.diag(lu)).min())
+    pivot = float(np.abs(lu.diagonal()).min())
     if pivot <= tiny:
         raise SingularSystemError(pivot)
+    lu.flags.writeable = piv.flags.writeable = False  # shared by every hit
+    _last_factor = (key, lu, piv)
     return lu, piv
 
 

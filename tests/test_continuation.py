@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_minty_far_from_solution():
     assert not rep.passed
     # the closing-direction certificate records the full equation residual
     assert rep.evidence["closing_direction_value"] == pytest.approx(4.0)
+
+
+def test_minty_fails_when_target_norm_overflows():
+    # ||h|| overflows, so the tolerance 1e-6 (1 + ||h||) would be inf and meet anything
+    op = make_operator("identity", 3)
+    with np.errstate(over="ignore"):
+        rep = minty_diagnostic(op, np.zeros(3), np.full(3, 1e200))
+    assert not rep.passed
+    assert rep.worst_value < -1e199
+    assert rep.evidence["closing_direction_value"] == math.inf
 
 
 def test_minty_on_computed_solution():

@@ -225,6 +225,33 @@ def test_max_time_cap(monkeypatch):
     assert sol.trace.records[-1][0] == pytest.approx(math.log(4.0 / 1e-10) - 10.0, abs=1e-12)
 
 
+def _decay_step_cap(rel_tol: float) -> float:
+    """Largest h with |R(-h) - e^-h| <= rel_tol * h, R the 5th-order stability fn."""
+
+    def defect(hh: float) -> float:
+        k = np.empty(7)
+        for i in range(7):
+            k[i] = -(1.0 + hh * float(flow._DP_A_ARR[i] @ k[:i]))
+        ratio = 1.0 + hh * float(flow._DP_B5_ARR @ k)
+        return abs(ratio - math.exp(-hh)) - rel_tol * hh
+
+    lo, hi = 1e-3, 1e-3
+    while defect(hi) < 0.0 and hi < 16.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if defect(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_step_cap_literal_is_the_bisection_root():
+    cap = min(flow._MAX_STEP, _decay_step_cap(flow._ODE_REL_TOL))
+    assert cap.hex() == flow._STEP_CAP.hex()
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(residual_tol=0.0)

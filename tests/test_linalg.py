@@ -5,13 +5,18 @@ import pytest
 import scipy.linalg
 
 from dsmsolve import (
+    ContinuationSchedule,
+    FlowConfig,
     SingularSystemError,
     inv_norm_bound_check,
     jacobian,
     make_operator,
     min_sym_eig,
+    run_continuation,
     solve_regularized,
 )
+from dsmsolve import flow, linalg
+from dsmsolve.gallery import NumericalEvaluationError
 from dsmsolve.validation import unit_directions
 
 from conftest import MONOTONE_NAMES, seeded_points
@@ -136,3 +141,106 @@ def test_inv_norm_bound_violated_for_negative_definite():
     assert not rep.passed
     assert rep.worst_value == pytest.approx(10.0)
     assert rep.witness is not None
+
+
+@pytest.fixture
+def getrf_calls(monkeypatch):
+    """Count LAPACK getrf calls, starting from an empty factor memo."""
+    calls = []
+    getrf = linalg.dgetrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return getrf(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "dgetrf", counted)
+    monkeypatch.setattr(linalg, "_last_factor", None)
+    return calls
+
+
+def test_unchanged_system_reuses_its_factors(getrf_calls):
+    rng = np.random.default_rng(7)
+    for k in range(100):
+        n = (1, 5, 20, 200)[k % 4]
+        A = rng.uniform(-10.0, 10.0, size=(n, n))
+        a = float(rng.uniform(0.01, 2.0))
+        for _ in range(2):
+            rhs = rng.uniform(-10.0, 10.0, size=n)
+            x = solve_regularized(A, a, rhs)
+            assert x.tobytes() == _reference_solve(A, a, rhs).tobytes(), (k, n)
+        assert len(getrf_calls) == k + 1
+
+
+def test_changed_system_misses_the_memo(getrf_calls):
+    rng = np.random.default_rng(8)
+    A = rng.uniform(-10.0, 10.0, size=(20, 20))
+    rhs = rng.uniform(-10.0, 10.0, size=20)
+    B = A.copy()
+    B[3, 4] = np.nextafter(B[3, 4], np.inf)  # 1 ulp
+    for M, a in ((A, 0.5), (B, 0.5), (A, 0.5), (A, np.nextafter(0.5, 1.0))):
+        assert solve_regularized(M, a, rhs).tobytes() == _reference_solve(M, a, rhs).tobytes()
+    assert len(getrf_calls) == 4
+    # an off-diagonal -0.0 becomes +0.0 in A + aI, so the factored matrix is the same
+    Z = np.zeros((3, 3))
+    solve_regularized(Z, 0.5, np.ones(3))
+    x = solve_regularized(-Z, 0.5, np.ones(3))
+    assert len(getrf_calls) == 5
+    assert x.tobytes() == _reference_solve(-Z, 0.5, np.ones(3)).tobytes()
+
+
+def test_failing_systems_raise_on_every_call(getrf_calls):
+    good, rhs = np.eye(3), np.ones(3)
+    for _ in range(2):
+        solve_regularized(good, 0.5, rhs)
+        with pytest.raises(SingularSystemError):
+            solve_regularized(-0.5 * np.eye(3), 0.5, rhs)
+        with pytest.raises(SingularSystemError):
+            inv_norm_bound_check(-0.5 * np.eye(3), 0.5, 3, 0)
+        with pytest.raises(NumericalEvaluationError):
+            solve_regularized(np.full((3, 3), np.nan), 0.5, rhs)
+    # the good system stays memoized; each singular one is factored anew
+    assert len(getrf_calls) == 5
+
+
+def test_mutating_the_matrix_changes_the_answer(getrf_calls):
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    rhs = np.array([1.0, 1.0])
+    x = solve_regularized(A, 1.0, rhs)
+    A[0, 1] = 0.0
+    y = solve_regularized(A, 1.0, rhs)
+    np.testing.assert_allclose(y, [1 / 3, 1 / 4], rtol=1e-15)
+    assert x.tobytes() != y.tobytes()
+    assert len(getrf_calls) == 2
+
+
+def _continuation(name, dim):
+    op = make_operator(name, dim)
+    h = np.random.default_rng(dim).standard_normal(dim)
+    return run_continuation(op, h, ContinuationSchedule(), FlowConfig())
+
+
+@pytest.mark.parametrize("name, dim", [("spd_tridiag", 20), ("skew_plus_cubic", 5)])
+def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
+    """A constant Jacobian factors once per stage, a varying one once per solve.
+
+    The report equals, byte for byte, that of a run that factors on every solve.
+    """
+    solves = []
+    solve = flow.solve_regularized
+
+    def fresh(*args):
+        solves.append(1)
+        linalg._last_factor = None
+        return solve(*args)
+
+    rep = _continuation(name, dim)
+    factored = len(getrf_calls)
+    monkeypatch.setattr(flow, "solve_regularized", fresh)
+    fresh_rep = _continuation(name, dim)
+    assert rep.to_json() == fresh_rep.to_json()
+    assert rep.final_u.tobytes() == fresh_rep.final_u.tobytes()
+    assert len(getrf_calls) - factored == len(solves)
+    if name == "spd_tridiag":
+        assert factored == len(rep.stages) < len(solves)
+    else:
+        assert factored == len(solves)
