@@ -13,12 +13,11 @@ from .gallery import (
     jacobian,
     check_monotone,
     check_coercive,
-    shift_target,
     make_gallery,
     make_operator,
     GALLERY_NAMES,
 )
-from .linalg import solve_regularized, min_sym_eig, inv_norm_bound_check, SingularSystemError
+from .linalg import solve_regularized, min_sym_eig, SingularSystemError
 from .flow import (
     FlowConfig,
     FlowTrace,
@@ -29,7 +28,6 @@ from .flow import (
     verify_decay,
     verify_vdot_bound,
     verify_tail_bound,
-    check_uniqueness,
 )
 from .continuation import (
     ContinuationSchedule,
@@ -48,13 +46,11 @@ __all__ = [
     "jacobian",
     "check_monotone",
     "check_coercive",
-    "shift_target",
     "make_gallery",
     "make_operator",
     "GALLERY_NAMES",
     "solve_regularized",
     "min_sym_eig",
-    "inv_norm_bound_check",
     "SingularSystemError",
     "FlowConfig",
     "FlowTrace",
@@ -65,7 +61,6 @@ __all__ = [
     "verify_decay",
     "verify_vdot_bound",
     "verify_tail_bound",
-    "check_uniqueness",
     "ContinuationSchedule",
     "SolveReport",
     "run_continuation",

@@ -68,6 +68,8 @@ def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError("seeded_random target needs seeded_random:SEED:NORM_CAP")
         tseed, cap = int(parts[1]), float(parts[2])
+        if not cap >= 0:  # also rejects nan
+            raise ValueError(f"NORM_CAP must be a number >= 0, got {parts[2]!r}")
         rng = subrng(seed, f"target:{tseed}")
         h = rng.standard_normal(dim)
         n = np.linalg.norm(h)
@@ -85,8 +87,8 @@ def _resolve_operator(args):
 
 def _check_hypotheses(op, seed: int):
     """Empirical monotonicity and coercivity reports, as verify and sweep give them."""
-    mono = check_monotone(op, subseed(seed, "monotone"), n_pairs=500, radius=5.0)
-    coer = check_coercive(op, subseed(seed, "coercive"), n_dirs=32)
+    mono = check_monotone(op, subseed(seed, "monotone"))
+    coer = check_coercive(op, subseed(seed, "coercive"))
     return mono, coer
 
 

@@ -167,9 +167,10 @@ def uniform_bound_check(op: Operator, h, stages: list[StageResult]) -> Validator
 
 
 _MINTY_STEPS = (1e-1, 1e-2, 1e-3)
+_MINTY_DIRS = 100
 
 
-def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> ValidatorReport:
+def minty_diagnostic(op: Operator, u, h, seed: int = 0) -> ValidatorReport:
     """Directional test (h - F(u - s*eta), eta) >= -tol over seeded eta, s in _MINTY_STEPS.
 
     Also evaluates the closing direction eta = h - F(u) and records its
@@ -180,7 +181,7 @@ def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> Va
     h = np.asarray(h, dtype=float)
     tol = 1e-6 * (1.0 + float(np.linalg.norm(h)))
     rng = np.random.default_rng(seed)
-    dirs = unit_directions(rng, n_dirs, op.dim)
+    dirs = unit_directions(rng, _MINTY_DIRS, op.dim)
     worst = np.inf
     witness = None
     for s in _MINTY_STEPS:
@@ -196,7 +197,7 @@ def minty_diagnostic(op: Operator, u, h, n_dirs: int = 100, seed: int = 0) -> Va
     passed = math.isfinite(tol) and math.isfinite(r_norm) and worst >= -tol
     return ValidatorReport(
         passed=passed,
-        samples_checked=len(_MINTY_STEPS) * n_dirs,
+        samples_checked=len(_MINTY_STEPS) * _MINTY_DIRS,
         worst_value=worst,
         witness=None if passed else witness,
         evidence=evidence,

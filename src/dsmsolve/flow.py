@@ -30,7 +30,6 @@ __all__ = [
     "verify_decay",
     "verify_vdot_bound",
     "verify_tail_bound",
-    "check_uniqueness",
     "trace_to_csv",
     "trace_from_csv",
     "TRACE_CSV_HEADER",
@@ -114,22 +113,24 @@ def dsm_rhs(op: Operator, a: float, h, v) -> np.ndarray:
     return w
 
 
-# Dormand-Prince 4(5) tableau; 5th-order solution propagated, FSAL
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-_DP_A_ARR = [np.array(row) for row in _DP_A]
-_DP_B5_ARR = np.array(_DP_B5)
-_DP_E_ARR = np.array(_DP_E)
+# Dormand-Prince 4(5) tableau; 5th-order solution propagated, FSAL.  The
+# 4th-order weights b4 enter only through the error weights _DP_E = b5 - b4,
+# written out with b4 as the subtrahends.
+_DP_A = [
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+]
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
+_DP_E = np.array((35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
+                  -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40))
 
 _ODE_REL_TOL = 1e-8  # local error per unit time, relative to max(||v||, 1)
 _HORIZON_MARGIN = 5.0  # the flow stops at t = ln(g0/residual_tol) + this margin
@@ -214,10 +215,10 @@ def integrate_flow(
             k = np.empty((7, n))
             k[0] = k1
             for i in range(1, 7):
-                vi = v + step * (_DP_A_ARR[i] @ k[:i])
+                vi = v + step * (_DP_A[i] @ k[:i])
                 k[i] = rhs(vi)
-            v5 = v + step * (_DP_B5_ARR @ k)
-            err_vec = step * (_DP_E_ARR @ k)
+            v5 = v + step * (_DP_B5 @ k)
+            err_vec = step * (_DP_E @ k)
         except _STAGE_STOPS as exc:
             trace.terminated_by = _stop_reason(exc)
             break
@@ -291,41 +292,6 @@ def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
         [_ratio(float(np.linalg.norm(v - u_a)), trace.laws(t)[1])
          for (t, *_), v in zip(trace.records, trace.states)],
         1.0 + _TAIL_SLACK,
-    )
-
-
-def check_uniqueness(
-    op: Operator, a: float, h, starts, cfg: FlowConfig
-) -> ValidatorReport:
-    """Flow from several starts; all limits must agree within 10*residual_tol/a."""
-    if len(starts) < 2:
-        raise ValueError("need at least 2 starts")
-    sols = []
-    for v0 in starts:
-        sol = integrate_flow(op, a, h, v0, cfg)
-        if not sol.converged:
-            return ValidatorReport(
-                passed=False,
-                samples_checked=len(sols),
-                worst_value=float("inf"),
-                witness=(np.asarray(v0, dtype=float), sol.u_a),
-                evidence={},
-            )
-        sols.append(sol.u_a)
-    worst = 0.0
-    pair = (sols[0], sols[1])
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            d = float(np.linalg.norm(sols[i] - sols[j]))
-            if d > worst:
-                worst = d
-                pair = (sols[i], sols[j])
-    tol = 10.0 * cfg.residual_tol / a
-    return ValidatorReport(
-        passed=worst <= tol,
-        samples_checked=len(starts),
-        worst_value=worst,
-        witness=None if worst <= tol else pair,
     )
 
 

@@ -9,7 +9,7 @@ and deliberate negative controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,10 @@ class Operator:
 
 _FD_STEP = 1e-6
 _MONOTONE_TOL = 1e-10
+_MONOTONE_PAIRS = 500
+_MONOTONE_RADIUS = 5.0
 _COERCIVE_RADII = (1.0, 10.0, 100.0)
+_COERCIVE_DIRS = 32
 
 
 def _as_vector(u, dim: int) -> Array:
@@ -102,21 +105,14 @@ def _ball_sample(rng: np.random.Generator, dim: int, radius: float) -> Array:
     return d / n * radius * rng.uniform() ** (1.0 / dim)
 
 
-def check_monotone(
-    op: Operator,
-    sampler_seed: int,
-    n_pairs: int,
-    radius: float,
-) -> ValidatorReport:
+def check_monotone(op: Operator, sampler_seed: int) -> ValidatorReport:
     """Sampled test of (F(u)-F(v), u-v) >= -_MONOTONE_TOL on pairs in a ball."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(sampler_seed)
     worst = np.inf
     witness = None
-    for _ in range(n_pairs):
-        u = _ball_sample(rng, op.dim, radius)
-        v = _ball_sample(rng, op.dim, radius)
+    for _ in range(_MONOTONE_PAIRS):
+        u = _ball_sample(rng, op.dim, _MONOTONE_RADIUS)
+        v = _ball_sample(rng, op.dim, _MONOTONE_RADIUS)
         pairing = float(np.dot(evaluate(op, u) - evaluate(op, v), u - v))
         if pairing < worst:
             worst = pairing
@@ -124,23 +120,23 @@ def check_monotone(
     passed = worst >= -_MONOTONE_TOL
     return ValidatorReport(
         passed=passed,
-        samples_checked=n_pairs,
+        samples_checked=_MONOTONE_PAIRS,
         worst_value=worst,
         witness=None if passed else witness,
     )
 
 
-def check_coercive(op: Operator, directions_seed: int, n_dirs: int) -> ValidatorReport:
+def check_coercive(op: Operator, directions_seed: int) -> ValidatorReport:
     """Growth test of q(r,d) = (u, F(u))/||u|| along rays u = r*d, r in _COERCIVE_RADII.
 
-    Probes the +-coordinate axes plus n_dirs seeded random unit
+    Probes the +-coordinate axes plus _COERCIVE_DIRS seeded random unit
     directions; passes iff min_d q(r,d) is strictly increasing in r and
     grows by at least a factor 2 from the smallest to the largest
     radius.  A finite-radius proxy for the true limit condition.
     """
     rng = np.random.default_rng(directions_seed)
     axes = np.vstack([np.eye(op.dim), -np.eye(op.dim)])
-    dirs = np.vstack([axes, unit_directions(rng, n_dirs, op.dim)])
+    dirs = np.vstack([axes, unit_directions(rng, _COERCIVE_DIRS, op.dim)])
     q_min = []
     argmin_dir = []
     for r in _COERCIVE_RADII:
@@ -158,17 +154,6 @@ def check_coercive(op: Operator, directions_seed: int, n_dirs: int) -> Validator
         worst_value=q_min[-1],
         witness=None if passed else (u_worst, evaluate(op, u_worst)),
         evidence={f"q_min_r{r:g}": q for r, q in zip(_COERCIVE_RADII, q_min)},
-    )
-
-
-def shift_target(op: Operator, y) -> Operator:
-    """Operator u -> F(u) - y.  Monotonicity and coercivity survive the shift."""
-    yv = _as_vector(y, op.dim)
-    base_fn = op.fn
-    return replace(
-        op,
-        name=f"{op.name}_shifted",
-        fn=lambda u, _f=base_fn, _y=yv: np.asarray(_f(u), dtype=float) - _y,
     )
 
 

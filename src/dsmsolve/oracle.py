@@ -23,10 +23,14 @@ class OracleFailure(RuntimeError):
     """The cross-check solver did not converge."""
 
 
-def damped_newton(op: Operator, h, x0=None) -> np.ndarray:
-    """Newton iteration with backtracking line search on ||F(x) - h||."""
+def damped_newton(op: Operator, h) -> np.ndarray:
+    """Newton iteration from x = 0 with backtracking line search on ||F(x) - h||.
+
+    Stops once ||F(x) - h|| <= _TOL.  A line search that stalls at a residual
+    within rounding of that, <= _TOL * (1 + ||h||), also returns x.
+    """
     h = np.asarray(h, dtype=float)
-    x = np.zeros(op.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(op.dim)
     r = evaluate(op, x) - h
     rnorm = np.linalg.norm(r)
     for _ in range(_MAX_ITER):
@@ -45,6 +49,8 @@ def damped_newton(op: Operator, h, x0=None) -> np.ndarray:
                 break
             lam *= 0.5
         else:
+            if rnorm <= _TOL * (1.0 + np.linalg.norm(h)):
+                return x
             raise OracleFailure(f"line search stalled for {op.name} at residual {rnorm:.3e}")
         x, r, rnorm = x_new, r_new, np.linalg.norm(r_new)
     if rnorm <= _TOL:

@@ -16,7 +16,6 @@ from dsmsolve import (
     check_monotone,
     evaluate,
     integrate_flow,
-    inv_norm_bound_check,
     jacobian,
     make_operator,
     min_sym_eig,
@@ -29,6 +28,7 @@ from dsmsolve import (
 from dsmsolve.flow import trace_to_csv
 from dsmsolve.validation import subrng
 
+from certificates import inv_norm_bound_check
 from conftest import COERCIVE_NAMES, MONOTONE_NAMES, STRICT_NAMES, seeded_points
 
 A_VALUES = (1.0, 0.1, 0.01)
@@ -200,7 +200,7 @@ def test_criterion_8_remarks():
 
 
 def test_criterion_9_negative_controls():
-    rep = check_monotone(make_operator("scalar_negation"), 1, 100, 5.0)
+    rep = check_monotone(make_operator("scalar_negation"), 1)
     assert not rep.passed and rep.witness is not None
     u, v = rep.witness
     print(f"  scalar_negation monotone witness: u={u.tolist()} v={v.tolist()} "
@@ -231,7 +231,7 @@ def test_criterion_10_determinism(tmp_path):
         jsons.append(rep.to_json())
     assert csvs[0] == csvs[1]
     assert jsons[0] == jsons[1]
-    r1 = check_monotone(op, 9, 200, 5.0)
-    r2 = check_monotone(op, 9, 200, 5.0)
+    r1 = check_monotone(op, 9)
+    r2 = check_monotone(op, 9)
     assert r1.to_dict() == r2.to_dict()
     _report(10, True, "(byte-identical traces and reports under fixed seeds)")

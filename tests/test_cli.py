@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,23 @@ def test_parse_target_forms():
 def test_parse_target_rejects_bad_dim():
     with pytest.raises(ValueError):
         parse_target("explicit:1,2,3", 2, 1)
+
+
+@pytest.mark.parametrize("cap", ["-5", "nan", "-inf"])
+def test_seeded_random_rejects_bad_norm_cap(cap, capsys):
+    with pytest.raises(ValueError, match="NORM_CAP"):
+        parse_target(f"seeded_random:1:{cap}", 3, 1)
+    argv = ["solve", "--operator", "identity", "--dim", "3", "--target", f"seeded_random:1:{cap}"]
+    assert run_cli(*argv) == 2
+    assert "NORM_CAP" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    names = [f"dsmsolve.{m.name}" for m in pkgutil.iter_modules(dsmsolve.__path__)]
+    modules = [dsmsolve] + [importlib.import_module(name) for name in names]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
 
 
 def test_verify_negative_control(capsys):

@@ -112,14 +112,14 @@ def test_uniform_bound_rank_one_diverges():
 
 def test_minty_on_exact_solution():
     op = make_operator("identity", 1)
-    rep = minty_diagnostic(op, [4.0], [4.0], n_dirs=50, seed=3)
+    rep = minty_diagnostic(op, [4.0], [4.0], seed=3)
     assert rep.passed
     assert rep.evidence["closing_direction_value"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_minty_far_from_solution():
     op = make_operator("identity", 1)
-    rep = minty_diagnostic(op, [0.0], [4.0], n_dirs=50, seed=3)
+    rep = minty_diagnostic(op, [0.0], [4.0], seed=3)
     assert not rep.passed
     # the closing-direction certificate records the full equation residual
     assert rep.evidence["closing_direction_value"] == pytest.approx(4.0)
@@ -138,7 +138,7 @@ def test_minty_fails_when_target_norm_overflows():
 def test_minty_on_computed_solution():
     op = make_operator("convex_gradient", 3)
     rep = run_continuation(op, [2.0, 2.0, 2.0], ContinuationSchedule(), FlowConfig())
-    m = minty_diagnostic(op, rep.final_u, [2.0, 2.0, 2.0], n_dirs=100, seed=9)
+    m = minty_diagnostic(op, rep.final_u, [2.0, 2.0, 2.0], seed=9)
     assert m.passed
 
 

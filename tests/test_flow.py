@@ -5,7 +5,6 @@ import pytest
 
 from dsmsolve import (
     FlowConfig,
-    check_uniqueness,
     dsm_rhs,
     integrate_flow,
     make_operator,
@@ -16,6 +15,8 @@ from dsmsolve import (
 )
 from dsmsolve import flow
 from dsmsolve.flow import FlowTrace, trace_from_csv, trace_to_csv
+
+from certificates import check_uniqueness
 
 # frozen bisection-oracle roots (tol 1e-14)
 ROOT_CUBIC_A01 = 1.9833337223505234  # x^3 + 0.1 x = 8
@@ -231,8 +232,8 @@ def _decay_step_cap(rel_tol: float) -> float:
     def defect(hh: float) -> float:
         k = np.empty(7)
         for i in range(7):
-            k[i] = -(1.0 + hh * float(flow._DP_A_ARR[i] @ k[:i]))
-        ratio = 1.0 + hh * float(flow._DP_B5_ARR @ k)
+            k[i] = -(1.0 + hh * float(flow._DP_A[i] @ k[:i]))
+        ratio = 1.0 + hh * float(flow._DP_B5 @ k)
         return abs(ratio - math.exp(-hh)) - rel_tol * hh
 
     lo, hi = 1e-3, 1e-3

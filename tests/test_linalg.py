@@ -8,7 +8,6 @@ from dsmsolve import (
     ContinuationSchedule,
     FlowConfig,
     SingularSystemError,
-    inv_norm_bound_check,
     jacobian,
     make_operator,
     min_sym_eig,
@@ -19,6 +18,7 @@ from dsmsolve import flow, linalg
 from dsmsolve.gallery import NumericalEvaluationError
 from dsmsolve.validation import unit_directions
 
+from certificates import inv_norm_bound_check
 from conftest import MONOTONE_NAMES, seeded_points
 
 

@@ -11,7 +11,6 @@ from dsmsolve import (
     make_operator,
     min_sym_eig,
     residual,
-    shift_target,
     solve_regularized,
 )
 
@@ -37,15 +36,6 @@ def test_convex_gradient_pairing_nonnegative(u, v):
     pairing = np.dot(evaluate(op, u) - evaluate(op, v), u - v)
     scale = float(np.linalg.norm(u - v)) * (1.0 + np.linalg.norm(u) + np.linalg.norm(v)) ** 3
     assert pairing >= -1e-10 * max(1.0, scale)
-
-
-@given(u=vectors(3), y=vectors(3))
-def test_shift_round_trip(u, y):
-    op = make_operator("convex_gradient", 3)
-    back = shift_target(shift_target(op, y), -y)
-    np.testing.assert_allclose(
-        evaluate(back, u), evaluate(op, u), atol=1e-14 * (1 + np.abs(y).max())
-    )
 
 
 @given(
