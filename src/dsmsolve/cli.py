@@ -47,23 +47,22 @@ EXIT_USAGE = 2
 
 
 def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
-    """Target vector h from a spec string.
+    """Target vector h from a spec string; every entry must be finite.
 
     Forms: ``zeros``, ``ones``, ``ones*SCALE``, ``explicit:1,2,3`` (also
     ``explicit:[1,2,3]``), ``seeded_random:SEED:NORM_CAP``.
     """
     if spec == "zeros":
-        return np.zeros(dim)
-    if spec == "ones" or spec.startswith("ones*"):
+        h = np.zeros(dim)
+    elif spec == "ones" or spec.startswith("ones*"):
         scale = float(spec.split("*", 1)[1]) if "*" in spec else 1.0
-        return np.full(dim, scale)
-    if spec.startswith("explicit:"):
+        h = np.full(dim, scale)
+    elif spec.startswith("explicit:"):
         body = spec.split(":", 1)[1].strip().strip("[]")
         h = np.array([float(x) for x in body.split(",")])
         if h.shape[0] != dim:
             raise ValueError(f"explicit target has dim {h.shape[0]}, operator needs {dim}")
-        return h
-    if spec.startswith("seeded_random:"):
+    elif spec.startswith("seeded_random:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("seeded_random target needs seeded_random:SEED:NORM_CAP")
@@ -75,8 +74,11 @@ def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
         n = np.linalg.norm(h)
         if n > cap:
             h *= cap / n
-        return h
-    raise ValueError(f"unrecognized target spec {spec!r}")
+    else:
+        raise ValueError(f"unrecognized target spec {spec!r}")
+    if not np.isfinite(h).all():
+        raise ValueError(f"target {spec!r} has a non-finite entry")
+    return h
 
 
 def _resolve_operator(args):
@@ -194,6 +196,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if not args.tol >= 0:  # also rejects nan, which no certificate could pass
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     op = _resolve_operator(args)
     h = parse_target(args.target, op.dim, args.seed)
     sched = ContinuationSchedule(a0=args.a0, decay_factor=args.decay_factor, a_min=args.a_min)

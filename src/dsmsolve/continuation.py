@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowConfig, RegularizedSolution, integrate_flow, residual
+from .flow import FlowConfig, RegularizedSolution, integrate_flow
 from .gallery import Operator, evaluate
 from .validation import ValidatorReport, unit_directions
 

@@ -6,6 +6,11 @@ norm g(t) = ||F(v)+av-h|| obeys g(t) = g(0) e^-t regardless of F, the
 velocity obeys ||v'|| <= (g(0)/a) e^-t, and the tail obeys
 ||v(t)-v(inf)|| <= (g(0)/a) e^-t.  The verifiers below check a computed
 trace against all three laws, so integrator error is directly visible.
+
+The pair is "first same as last": its 7th stage is evaluated at the new
+5th-order solution.  That one evaluation gives an accepted point, its
+residual g and its velocity norm ||v'||, and its velocity is the next
+step's first stage, so each point of the flow is evaluated once.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class FlowConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
+        if not self.residual_tol > 0:  # also rejects nan, which would leave no horizon
             raise ValueError("tolerances must be positive")
 
 
@@ -84,38 +89,54 @@ class RegularizedSolution:
         return self.trace.terminated_by == "residual_tol_reached"
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||: np.linalg.norm's sqrt(x . x), bit for bit, where that is finite.
+
+    np.vdot raises no overflow warning; a finite x whose squares overflow is
+    rescaled by max|x| first, as LAPACK dnrm2 does.
+    """
+    norm = math.sqrt(np.vdot(x, x))
+    if norm == math.inf and np.isfinite(x).all():
+        scale = float(np.abs(x).max())
+        y = x / scale
+        norm = scale * math.sqrt(np.vdot(y, y))
+    return norm
+
+
 def residual(op: Operator, a: float, h, v) -> float:
     """||F(v) + a v - h||."""
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
+    if not 0.0 < a < math.inf:  # also rejects nan
+        raise ValueError("regularization parameter a must be positive and finite")
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(np.linalg.norm(evaluate(op, v) + a * v - h))
+    return _norm(evaluate(op, v) + a * v - h)
 
 
-def dsm_rhs(op: Operator, a: float, h, v) -> np.ndarray:
-    """-(F'(v) + aI)^-1 [F(v) + a v - h], with the velocity bound asserted."""
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
+def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
+    """(v', g, ||v'||) with v' = -(F'(v) + aI)^-1 [F(v) + a v - h], g = ||F(v) + a v - h||,
+    and the velocity bound ||v'|| <= g/a asserted."""
+    if not 0.0 < a < math.inf:  # also rejects nan
+        raise ValueError("regularization parameter a must be positive and finite")
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     r = evaluate(op, v) + a * v - h
-    g = float(np.linalg.norm(r))
+    g = _norm(r)
     if not math.isfinite(g):
         raise NumericalEvaluationError(f"non-finite residual norm for {op.name} at a={a:g}")
     w = -solve_regularized(jacobian(op, v), a, r)
-    wnorm = float(np.linalg.norm(w))
+    wnorm = _norm(w)
     if wnorm > (g / a) * (1.0 + 1e-6) + 1e-300:
         raise MonotoneBoundError(
             f"||v'|| = {wnorm:.6e} > g/a = {g / a:.6e} at a flow point; "
             f"{op.name} is not monotone there"
         )
-    return w
+    return w, g, wnorm
 
 
-# Dormand-Prince 4(5) tableau; 5th-order solution propagated, FSAL.  The
-# 4th-order weights b4 enter only through the error weights _DP_E = b5 - b4,
-# written out with b4 as the subtrahends.
+# Dormand-Prince 4(5) tableau; 5th-order solution propagated, FSAL: the last
+# row of _DP_A holds the 5th-order weights b5, so stage 7 is evaluated at the
+# new solution.  The 4th-order weights b4 enter only through the error
+# weights _DP_E = b5 - b4, written out with b4 as the subtrahends.
 _DP_A = [
     np.array(row)
     for row in (
@@ -128,7 +149,6 @@ _DP_A = [
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
 ]
-_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
 _DP_E = np.array((35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
                   -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40))
 
@@ -179,18 +199,15 @@ def integrate_flow(
     v = np.asarray(v0, dtype=float).copy()
     rhs = lambda x: dsm_rhs(op, a, h_vec, x)
 
-    g = residual(op, a, h_vec, v)
-    trace = FlowTrace(a=a, g0=g)
+    stop = None
     try:
-        k1 = rhs(v)
-    except _STAGE_STOPS as exc:
-        trace.append(0.0, v, g, float("nan"), 0.0)
-        trace.terminated_by = _stop_reason(exc)
-        return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
-
-    trace.append(0.0, v, g, float(np.linalg.norm(k1)), 0.0)
-    if g <= cfg.residual_tol:
-        trace.terminated_by = "residual_tol_reached"
+        k1, g, vdot_norm = rhs(v)
+    except _STAGE_STOPS as exc:  # no g from the rhs: the one residual() call
+        stop, g, vdot_norm = _stop_reason(exc), residual(op, a, h_vec, v), math.nan
+    trace = FlowTrace(a=a, g0=g)
+    trace.append(0.0, v, g, vdot_norm, 0.0)
+    if stop is not None or g <= cfg.residual_tol:
+        trace.terminated_by = stop or "residual_tol_reached"
         return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
 
     max_time = math.log(g / cfg.residual_tol) + _HORIZON_MARGIN
@@ -216,21 +233,19 @@ def integrate_flow(
             k[0] = k1
             for i in range(1, 7):
                 vi = v + step * (_DP_A[i] @ k[:i])
-                k[i] = rhs(vi)
-            v5 = v + step * (_DP_B5 @ k)
+                k[i], gi, vdot_norm = rhs(vi)
             err_vec = step * (_DP_E @ k)
         except _STAGE_STOPS as exc:
             trace.terminated_by = _stop_reason(exc)
             break
 
-        scale = _ODE_REL_TOL * step * max(float(np.linalg.norm(v5)), 1.0)
-        err = float(np.linalg.norm(err_vec)) / scale
+        # FSAL: the loop ends on stage 7, at the 5th-order solution vi
+        scale = _ODE_REL_TOL * step * max(_norm(vi), 1.0)
+        err = _norm(err_vec) / scale
         if err <= 1.0:
             t += step
-            v = v5
-            g = residual(op, a, h_vec, v)
-            k1 = k[6]  # FSAL: stage 7 is the rhs at the accepted point
-            trace.append(t, v, g, float(np.linalg.norm(k1)), step)
+            v, g, k1 = vi, gi, k[6]
+            trace.append(t, v, g, vdot_norm, step)
             # PI controller (order-5 exponents)
             err = max(err, 1e-10)
             factor = _SAFETY * err ** -0.14 * err_prev**0.08

@@ -6,7 +6,7 @@ symmetric-part sense, which gives ||(A+aI)^-1|| <= 1/a.
 A + aI is factored by LAPACK getrf/getrs, called directly.  The tiny-pivot
 check (SingularSystemError) also covers an exactly zero pivot (getrf info > 0).
 An unchanged A + aI reuses its factors: the last successful factorization is
-kept, keyed on the exact bytes of A + aI, so a linear operator, whose Jacobian
+kept, keyed on a and the exact bytes of A, so a linear operator, whose Jacobian
 is constant, factors once per value of a.
 """
 
@@ -31,10 +31,11 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 _EPS = np.finfo(float).eps
 
-# (A + aI bytes, lu, piv) of the last factorization that passed its checks.
-# The key is the matrix getrf receives, bit for bit, so a hit returns the
-# factors getrf would compute and the checks, which read only those bits,
-# still hold.  A failing matrix is never stored, so it raises on every call.
+# ((a, A bytes), lu, piv) of the last factorization that passed its checks.
+# A + aI, the matrix getrf receives, is a function of the key's bits, so a hit
+# returns the factors getrf would compute and the checks, which read only
+# those bits, still hold; and a hit does not form A + aI.  A failing matrix
+# is never stored, so it raises on every call.
 _last_factor = None
 
 
@@ -46,12 +47,12 @@ def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
     n = rhs.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} incompatible with rhs dim {n}")
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
-    Aa = A + a * np.eye(n)
-    key = Aa.tobytes()
+    if not 0.0 < a < np.inf:  # also rejects nan
+        raise ValueError("regularization parameter a must be positive and finite")
+    key = (a, A.tobytes())
     memo = _last_factor  # one read, so the key and the factors belong together
     if memo is None or memo[0] != key:
+        Aa = A + a * np.eye(n)
         if not np.isfinite(Aa).all():
             raise NumericalEvaluationError("non-finite matrix entries")
         tiny = _EPS * max(1.0, float(np.abs(Aa).max())) * n

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dsmsolve
+from dsmsolve import FlowConfig
 from dsmsolve.cli import main, parse_target
 
 
@@ -48,6 +49,37 @@ def test_seeded_random_rejects_bad_norm_cap(cap, capsys):
     argv = ["solve", "--operator", "identity", "--dim", "3", "--target", f"seeded_random:1:{cap}"]
     assert run_cli(*argv) == 2
     assert "NORM_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["ones*nan", "ones*inf", "explicit:1,nan,2"])
+def test_non_finite_target_is_a_usage_error(spec, capsys):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_target(spec, 3, 1)
+    argv = ["solve", "--operator", "identity", "--dim", "3", "--target", spec]
+    assert run_cli(*argv) == 2
+    assert "non-finite entry" in capsys.readouterr().err
+
+
+def test_flow_nan_tol_is_a_usage_error(tmp_path, capsys):
+    # checked on FlowConfig first: a flow given a nan tolerance has no horizon
+    with pytest.raises(ValueError):
+        FlowConfig(residual_tol=float("nan"))
+    argv = ["flow", "--operator", "identity", "--dim", "2", "--a", "1", "--trace-dir", str(tmp_path)]
+    assert run_cli(*argv, "--tol", "nan") == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
+    assert run_cli(*argv, "--tol", "inf") == 0
+
+
+@pytest.mark.parametrize("a", ["nan", "inf"])
+def test_flow_non_finite_a_is_a_usage_error(a, tmp_path, capsys):
+    argv = ["flow", "--operator", "identity", "--dim", "2", "--a", a, "--trace-dir", str(tmp_path)]
+    assert run_cli(*argv) == 2
+    assert "regularization parameter a must be positive and finite" in capsys.readouterr().err
+
+
+def test_solve_nan_tol_is_a_usage_error(capsys):
+    assert run_cli("solve", "--operator", "identity", "--dim", "2", "--tol", "nan") == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsmsolve import (
+    GALLERY_NAMES,
     FlowConfig,
     dsm_rhs,
     integrate_flow,
@@ -39,9 +40,36 @@ def test_residual_rejects_zero_a():
         residual(op, 0.0, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_non_finite_a_is_rejected(a):
+    op = make_operator("identity", 2)
+    for fn in (residual, dsm_rhs):
+        with pytest.raises(ValueError, match="regularization parameter"):
+            fn(op, a, [1.0, 2.0], [0.0, 0.0])
+
+
+def test_residual_norm_does_not_overflow():
+    """A finite residual whose squares overflow still has its representable norm."""
+    op = make_operator("identity", 1)
+    w, g, wnorm = dsm_rhs(op, 1.0, [1e200], [0.0])
+    assert g == 1e200 == residual(op, 1.0, [1e200], [0.0])
+    assert w.tolist() == [5e199] and wnorm == 5e199
+    assert flow._norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert flow._norm(np.array([1e200, math.inf])) == math.inf
+    assert math.isnan(flow._norm(np.array([1e200, math.nan])))
+
+
+def test_norm_has_the_bits_of_numpy_norm():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 20, 200):
+        for exponent in (-300, -150, -8, 0, 8, 150):
+            x = rng.standard_normal(n) * 10.0**exponent
+            assert flow._norm(x).hex() == float(np.linalg.norm(x)).hex(), (n, exponent)
+
+
 def test_dsm_rhs_identity():
     op = make_operator("identity", 1)
-    assert dsm_rhs(op, 1.0, [4.0], [0.0]) == pytest.approx([2.0])
+    assert dsm_rhs(op, 1.0, [4.0], [0.0])[0] == pytest.approx([2.0])
 
 
 def test_dsm_rhs_zero_at_fixed_point():
@@ -49,13 +77,34 @@ def test_dsm_rhs_zero_at_fixed_point():
     # u_a = h/(1+a) solves the regularized equation
     h = np.array([3.0, -1.0])
     u_a = h / 1.5
-    np.testing.assert_allclose(dsm_rhs(op, 0.5, h, u_a), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(dsm_rhs(op, 0.5, h, u_a)[0], [0.0, 0.0], atol=1e-15)
 
 
 def test_dsm_rhs_scalar_cubic():
     op = make_operator("scalar_cubic")
     # -(3*1 + 1)^-1 (1 + 1 - 8) = 1.5
-    assert dsm_rhs(op, 1.0, [8.0], [1.0]) == pytest.approx([1.5])
+    assert dsm_rhs(op, 1.0, [8.0], [1.0])[0] == pytest.approx([1.5])
+
+
+@pytest.mark.parametrize("dim", [1, 5, 20])
+def test_records_are_one_fresh_evaluation_of_their_state(dim):
+    """FSAL: each record's g and ||v'|| are those of one evaluation at its state, bit for bit."""
+    rng = np.random.default_rng(dim)
+    names = [n for n in GALLERY_NAMES if dim == 1 or not n.startswith("scalar")]
+    for name in names:
+        op = make_operator(name, dim)
+        for a in (1.0, 0.3, 1e-3):
+            h = 3.0 * rng.standard_normal(op.dim)
+            sol = integrate_flow(op, a, h, np.zeros(op.dim), FlowConfig())
+            for (t, g, _, vdot_norm, *_), v in zip(sol.trace.records, sol.trace.states):
+                assert g.hex() == residual(op, a, h, v).hex(), (name, a, t)
+                if math.isnan(vdot_norm):  # the stage stopped at its first evaluation
+                    assert t == 0.0
+                    with pytest.raises(flow._STAGE_STOPS):
+                        dsm_rhs(op, a, h, v)
+                else:
+                    w = dsm_rhs(op, a, h, v)[0]
+                    assert vdot_norm.hex() == float(np.linalg.norm(w)).hex(), (name, a, t)
 
 
 def test_integrate_identity():
@@ -230,10 +279,10 @@ def _decay_step_cap(rel_tol: float) -> float:
     """Largest h with |R(-h) - e^-h| <= rel_tol * h, R the 5th-order stability fn."""
 
     def defect(hh: float) -> float:
-        k = np.empty(7)
-        for i in range(7):
+        k = np.empty(6)
+        for i in range(6):
             k[i] = -(1.0 + hh * float(flow._DP_A[i] @ k[:i]))
-        ratio = 1.0 + hh * float(flow._DP_B5 @ k)
+        ratio = 1.0 + hh * float(flow._DP_A[6] @ k)  # FSAL: row 7 holds b5
         return abs(ratio - math.exp(-hh)) - rel_tol * hh
 
     lo, hi = 1e-3, 1e-3
@@ -256,6 +305,9 @@ def test_step_cap_literal_is_the_bisection_root():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(residual_tol=0.0)
+    # a nan tolerance would give the flow a nan horizon, so it would never stop
+    with pytest.raises(ValueError):
+        FlowConfig(residual_tol=math.nan)
 
 
 def test_trace_csv_round_trip(tmp_path):

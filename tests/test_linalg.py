@@ -180,11 +180,12 @@ def test_changed_system_misses_the_memo(getrf_calls):
     for M, a in ((A, 0.5), (B, 0.5), (A, 0.5), (A, np.nextafter(0.5, 1.0))):
         assert solve_regularized(M, a, rhs).tobytes() == _reference_solve(M, a, rhs).tobytes()
     assert len(getrf_calls) == 4
-    # an off-diagonal -0.0 becomes +0.0 in A + aI, so the factored matrix is the same
+    # the memo keys on the bytes of A, so -0.0 entries miss it, although A + aI
+    # (where an off-diagonal -0.0 becomes +0.0) and the solution are the same
     Z = np.zeros((3, 3))
     solve_regularized(Z, 0.5, np.ones(3))
     x = solve_regularized(-Z, 0.5, np.ones(3))
-    assert len(getrf_calls) == 5
+    assert len(getrf_calls) == 6
     assert x.tobytes() == _reference_solve(-Z, 0.5, np.ones(3)).tobytes()
 
 
