@@ -96,17 +96,8 @@ def _check_hypotheses(op, seed: int):
 
 def _run_solve(op, h, seed: int, sched, cfg, trace_dir) -> SolveReport:
     """The a -> 0 continuation as solve and sweep run it; stage traces go to trace_dir if set."""
-    callback = None
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-
-        def callback(a, sol):
-            rel = f"{op.name}_a{a:.3e}.csv"
-            trace_to_csv(sol.trace, Path(trace_dir) / rel)
-            return rel
-
     return run_continuation(op, h, sched, cfg, minty_seed=subseed(seed, "minty"),
-                            stage_callback=callback)
+                            trace_dir=trace_dir)
 
 
 def cmd_gallery(args) -> int:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .flow import FlowConfig, RegularizedSolution, integrate_flow
+from .flow import FlowConfig, integrate_flow, trace_to_csv
 from .gallery import Operator, evaluate
 from .validation import ValidatorReport, unit_directions
 
@@ -41,6 +42,8 @@ class ContinuationSchedule:
     def __post_init__(self):
         if not (self.a0 > self.a_min > 0):
             raise ValueError("need a0 > a_min > 0")
+        if self.a0 == math.inf:  # values() would append inf without end
+            raise ValueError("a0 must be finite")
         if not (0 < self.decay_factor < 1):
             raise ValueError("decay_factor must lie in (0, 1)")
 
@@ -93,15 +96,6 @@ class SolveReport:
     minty_report: ValidatorReport
     cauchy_report: ValidatorReport
     failed_stage: Optional[int] = None  # schedule index of an aborted stage
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.failed_stage is None
-            and self.bound_report.passed
-            and self.minty_report.passed
-            and self.cauchy_report.passed
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -230,21 +224,27 @@ def run_continuation(
     sched: ContinuationSchedule,
     cfg: FlowConfig,
     minty_seed: int = 0,
-    stage_callback=None,
+    trace_dir=None,
 ) -> SolveReport:
     """Solve F(u) = h by sweeping the schedule with warm starts.
 
-    stage_callback(a, RegularizedSolution) is invoked per stage (used by
-    the CLI to write trace files).  A stage that fails to converge aborts
-    the sweep; the partial report records the failed schedule index.
+    With trace_dir set, each stage's trace is written there as
+    ``{op.name}_a{a:.3e}.csv`` and the stage's report names that file.  A
+    stage that fails to converge aborts the sweep; the partial report
+    records the failed schedule index.
     """
     h = np.asarray(h, dtype=float)
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
     v0 = np.zeros(op.dim)
     failed_stage = None
     for i, a in enumerate(sched.values()):
         sol = integrate_flow(op, a, h, v0, cfg)
-        trace_file = stage_callback(a, sol) if stage_callback is not None else None
+        trace_file = None
+        if trace_dir is not None:
+            trace_file = f"{op.name}_a{a:.3e}.csv"
+            trace_to_csv(sol.trace, Path(trace_dir) / trace_file)
         last = sol.trace.records[-1]
         stages.append(
             StageResult(

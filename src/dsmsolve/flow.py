@@ -67,6 +67,10 @@ class FlowTrace:
     states: list[np.ndarray] = field(default_factory=list)  # v(t) per record, not serialized
     terminated_by: str = "max_time_reached"
 
+    def __post_init__(self):  # here, so a replayed trace's --a is checked too
+        if not 0.0 < self.a < math.inf:  # also rejects nan
+            raise ValueError("regularization parameter a must be positive and finite")
+
     def laws(self, t: float) -> tuple[float, float]:
         """(g0 e^-t, (g0/a) e^-t): the residual law and the velocity and tail bound at t."""
         return self.g0 * math.exp(-t), self.g0 / self.a * math.exp(-t)
@@ -125,7 +129,7 @@ def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
         raise NumericalEvaluationError(f"non-finite residual norm for {op.name} at a={a:g}")
     w = -solve_regularized(jacobian(op, v), a, r)
     wnorm = _norm(w)
-    if wnorm > (g / a) * (1.0 + 1e-6) + 1e-300:
+    if wnorm > (g / a) * (1.0 + _VDOT_SLACK) + 1e-300:
         raise MonotoneBoundError(
             f"||v'|| = {wnorm:.6e} > g/a = {g / a:.6e} at a flow point; "
             f"{op.name} is not monotone there"
@@ -221,9 +225,7 @@ def integrate_flow(
         step = min(step, _STEP_CAP, max_time - t)
         if t < 1.0 < t + step:
             step = 1.0 - t
-        t_land = math.log(g / cfg.residual_tol) + _LANDING
-        if t_land > 0:
-            step = min(step, t_land)
+        step = min(step, math.log(g / cfg.residual_tol) + _LANDING)  # > 0, as g > tol here
         if step < _MIN_STEP:
             trace.terminated_by = "step_underflow"
             break
@@ -264,7 +266,10 @@ def integrate_flow(
 
 
 def _ratio(value: float, bound: float) -> float:
-    """value / bound; against a zero bound (a flow that starts at the solution) 0 or inf."""
+    """value / bound; inf if either is negative, as no genuine trace has a negative
+    value or law; against a zero bound (a flow that starts at the solution) 0 or inf."""
+    if value < 0.0 or bound < 0.0:  # a nan compares false and falls through
+        return math.inf
     return value / bound if bound else (0.0 if value == 0.0 else math.inf)
 
 

@@ -1,6 +1,6 @@
 """Operator gallery and hypothesis validators.
 
-Operators are maps F: R^n -> R^n with optional analytic Jacobians.  The
+Operators are maps F: R^n -> R^n with analytic Jacobians.  The
 validators test monotonicity ((F(u)-F(v), u-v) >= 0) and coercivity
 ((u, F(u))/||u|| growing without bound) empirically on seeded samples,
 returning witnesses on failure.  The gallery ships both positive cases
@@ -10,7 +10,7 @@ and deliberate negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class NumericalEvaluationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Operator:
-    """A nonlinear map together with advisory metadata.
+    """A nonlinear map, its analytic Jacobian and advisory metadata.
 
     The declared_* flags state what the constructor believes; validators
     test those claims empirically and may falsify them.
@@ -38,13 +38,12 @@ class Operator:
     name: str
     dim: int
     fn: Callable[[Array], Array]
-    jac: Optional[Callable[[Array], Array]] = None
+    jac: Callable[[Array], Array]
     declared_monotone: bool = False
     declared_strictly_monotone: bool = False
     declared_coercive: bool = False
 
 
-_FD_STEP = 1e-6
 _MONOTONE_TOL = 1e-10
 _MONOTONE_PAIRS = 500
 _MONOTONE_RADIUS = 5.0
@@ -73,26 +72,12 @@ def evaluate(op: Operator, u) -> Array:
 
 
 def jacobian(op: Operator, u) -> Array:
-    """F'(u): analytic if available, else central finite differences.
-
-    The finite-difference step per coordinate is _FD_STEP*(1+|u_j|).
-    """
-    v = _as_vector(u, op.dim)
-    if op.jac is not None:
-        J = np.asarray(op.jac(v), dtype=float)
-        if J.shape != (op.dim, op.dim):
-            raise DimensionMismatchError(
-                f"{op.name} Jacobian has shape {J.shape}, expected square dim {op.dim}"
-            )
-        return J
-    J = np.empty((op.dim, op.dim))
-    for j in range(op.dim):
-        h = _FD_STEP * (1.0 + abs(v[j]))
-        e = np.zeros(op.dim)
-        e[j] = h
-        J[:, j] = (evaluate(op, v + e) - evaluate(op, v - e)) / (2.0 * h)
-    if not np.all(np.isfinite(J)):
-        raise NumericalEvaluationError(f"non-finite Jacobian entries for {op.name} at {v}")
+    """F'(u) from the operator's analytic Jacobian (dimension-checked)."""
+    J = np.asarray(op.jac(_as_vector(u, op.dim)), dtype=float)
+    if J.shape != (op.dim, op.dim):
+        raise DimensionMismatchError(
+            f"{op.name} Jacobian has shape {J.shape}, expected square dim {op.dim}"
+        )
     return J
 
 

@@ -1,14 +1,28 @@
-"""Sampled certificates that only the tests use.
+"""Sampled certificates and references that only the tests use.
 
 ``inv_norm_bound_check`` probes the resolvent bound ||(A+aI)^-1|| <= 1/a that
 monotonicity buys; ``check_uniqueness`` flows from several starts and checks
-that the limits agree.  Neither is part of the solve pipeline.
+that the limits agree; ``fd_jacobian`` is the central-difference reference
+for the gallery's analytic Jacobians.  None is part of the solve pipeline.
 """
 
 import numpy as np
 
-from dsmsolve import ValidatorReport, integrate_flow, solve_regularized
+from dsmsolve import ValidatorReport, evaluate, integrate_flow, solve_regularized
 from dsmsolve.validation import unit_directions
+
+
+def fd_jacobian(op, u):
+    """F'(u) by central differences, with step 1e-6 * (1 + |u_j|) per coordinate."""
+    v = np.asarray(u, dtype=float)
+    J = np.empty((op.dim, op.dim))
+    for j in range(op.dim):
+        h = 1e-6 * (1.0 + abs(v[j]))
+        e = np.zeros(op.dim)
+        e[j] = h
+        J[:, j] = (evaluate(op, v + e) - evaluate(op, v - e)) / (2.0 * h)
+    assert np.isfinite(J).all(), f"non-finite Jacobian entries for {op.name} at {v}"
+    return J
 
 
 def inv_norm_bound_check(A, a: float, n_probes: int, seed: int) -> ValidatorReport:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import dsmsolve
-from dsmsolve import FlowConfig
+from dsmsolve import ContinuationSchedule, FlowConfig
 from dsmsolve.cli import main, parse_target
+from dsmsolve.flow import TRACE_CSV_HEADER
 
 
 def run_cli(*argv):
@@ -80,6 +82,14 @@ def test_flow_non_finite_a_is_a_usage_error(a, tmp_path, capsys):
 def test_solve_nan_tol_is_a_usage_error(capsys):
     assert run_cli("solve", "--operator", "identity", "--dim", "2", "--tol", "nan") == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_solve_infinite_a0_is_a_usage_error(capsys):
+    # checked on the schedule first: its values() would append inf without end
+    with pytest.raises(ValueError):
+        ContinuationSchedule(a0=float("inf"))
+    assert run_cli("solve", "--operator", "identity", "--a0", "inf") == 2
+    assert "a0 must be finite" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():
@@ -202,6 +212,22 @@ def test_flow_replay_recomputes_theory_columns(tmp_path, capsys):
         lines[i] = ",".join(repr(x) for x in cols)
     path.write_text("\n".join(lines) + "\n")
     assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 1
+    # a forged negative residual makes both laws negative, so every ratio would be <= 0
+    rows = []
+    for i in range(6):
+        t = 0.5 * i
+        g = -2.0 * math.exp(-t)
+        rows.append(",".join(repr(x) for x in (t, g, g, 1e10, g / 0.5, 0.5 if i else 0.0)))
+    path.write_text("\n".join([TRACE_CSV_HEADER, *rows]) + "\n")
+    assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 1
+
+
+@pytest.mark.parametrize("a", ["-1", "0", "nan", "inf"])
+def test_replay_a_must_be_positive_and_finite(a, tmp_path, capsys):
+    path = _genuine_trace(tmp_path)
+    capsys.readouterr()
+    assert run_cli("flow", "--a", a, "--replay", str(path)) == 2
+    assert "regularization parameter a must be positive and finite" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

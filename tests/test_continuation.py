@@ -43,7 +43,8 @@ def test_run_continuation_convex_gradient():
     rep = run_continuation(op, [2.0, 2.0, 2.0], ContinuationSchedule(), FlowConfig())
     assert rep.final_u == pytest.approx([1.0, 1.0, 1.0], abs=1e-5)
     assert rep.final_residual_eq5 <= 1e-5
-    assert rep.all_passed
+    assert rep.failed_stage is None
+    assert rep.bound_report.passed and rep.minty_report.passed and rep.cauchy_report.passed
 
 
 def test_run_continuation_scalar_cubic():
@@ -149,7 +150,12 @@ def test_monotone_bound_violation_gives_partial_report():
     rep = run_continuation(op, [1.0], sched, FlowConfig())
     assert rep.failed_stage == 0
     assert rep.stages[0].terminated_by == "monotone_bound_violated"
-    assert not rep.all_passed
+    assert len(rep.stages) == 1
+    # one stage cannot show a bound, an aborted sweep is no Cauchy sequence,
+    # and the negation is not monotone, so Minty fails too
+    assert not rep.bound_report.passed
+    assert not rep.minty_report.passed
+    assert not rep.cauchy_report.passed
 
 
 def test_verify_solution():

@@ -7,6 +7,7 @@ CHANGES.md.  Anything else that moves them is a regression.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from dsmsolve import (
     oracle_solve,
     run_continuation,
 )
+from dsmsolve.cli import main
 from dsmsolve.flow import trace_to_csv
 
 
@@ -58,4 +60,21 @@ def test_oracle_solution_bytes():
     u = oracle_solve(make_operator("spd_tridiag", 20), h)
     assert _sha256(u.tobytes()) == (
         "74c1b4b23fd63adce2ea94f817d724362f516de58f0a410ab83dc8808035c231"
+    )
+
+
+def test_solve_trace_dir_bytes(tmp_path, capsys):
+    # the stage traces that solve --trace-dir writes, and the report that names them
+    report, trace_dir = tmp_path / "rep.json", tmp_path / "tr"
+    rc = main([
+        "solve", "--operator", "skew_plus_cubic", "--dim", "5", "--target", "seeded_random:3:5",
+        "--seed", "11", "--report", str(report), "--trace-dir", str(trace_dir),
+    ])
+    assert rc == 0
+    assert _sha256(report.read_bytes()) == (
+        "968ced6d8d6953965e328473e3e5f7237552626e2b7727f717cad2b1b1d077c9"
+    )
+    names = [stage["trace_file"] for stage in json.loads(report.read_text())["stages"]]
+    assert _sha256(b"".join((trace_dir / name).read_bytes() for name in names)) == (
+        "fd5f3ee1c52e835fca87b254df0e25d88bf79db840ad42cc5203bab313781a42"
     )
