@@ -220,7 +220,8 @@ def cmd_solve(args) -> int:
         print(f"{name}: {'pass' if passed else 'FAIL'}")
     failed = [name for name, passed in certificates if not passed]
     if report.failed_stage is not None:
-        failed.insert(0, f"stage {report.failed_stage} ({report.stages[-1].terminated_by})")
+        failed.insert(0, f"stage {report.failed_stage} "
+                         f"({report.stages[-1].flow_summary.terminated_by})")
     if failed:
         print(f"failed: {failed[0]}", file=sys.stderr)
         return EXIT_FAIL

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +24,7 @@ from .validation import ValidatorReport, unit_directions
 
 __all__ = [
     "ContinuationSchedule",
+    "FlowSummary",
     "StageResult",
     "SolveReport",
     "run_continuation",
@@ -31,6 +32,11 @@ __all__ = [
     "minty_diagnostic",
     "verify_solution",
 ]
+
+
+# a schedule of more stages is rejected: each stage is a whole flow, and
+# values() lists every a before the first one runs
+_MAX_STAGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,26 @@ class ContinuationSchedule:
             raise ValueError("a0 must be finite")
         if not (0 < self.decay_factor < 1):
             raise ValueError("decay_factor must lie in (0, 1)")
+        stages = (math.log(self.a0) - math.log(self.a_min)) / -math.log(self.decay_factor)
+        if stages > _MAX_STAGES:
+            raise ValueError(f"schedule needs about {stages:.3g} stages, more than {_MAX_STAGES}")
 
     def values(self) -> list[float]:
-        """Geometric sequence a0, a0*q, ..., clamped to end at a_min."""
+        """Geometric sequence a0, a0*q, ..., clamped to end at a_min, as floats (an int a0 too)."""
         vals = []
-        a = self.a0
+        a = float(self.a0)
         while a > self.a_min * (1 + 1e-12):
             vals.append(a)
             a *= self.decay_factor
-        vals.append(self.a_min)
+        vals.append(float(self.a_min))
         return vals
+
+
+@dataclass
+class FlowSummary:
+    t_end: float
+    steps: int  # accepted steps
+    terminated_by: str
 
 
 @dataclass
@@ -64,28 +80,14 @@ class StageResult:
     u_a: np.ndarray
     residual_eq6: float  # ||F(u_a) + a u_a - h||
     norm_u: float
-    t_end: float
-    steps: int
-    terminated_by: str
+    flow_summary: FlowSummary
     trace_file: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "a": float(self.a),
-            "u_a": [float(x) for x in self.u_a],
-            "residual_eq6": float(self.residual_eq6),
-            "norm_u": float(self.norm_u),
-            "flow_summary": {
-                "t_end": float(self.t_end),
-                "steps": int(self.steps),
-                "terminated_by": self.terminated_by,
-            },
-            "trace_file": self.trace_file,
-        }
 
 
 @dataclass
 class SolveReport:
+    """The record of a solve; its fields, nested and in order, are its JSON."""
+
     operator_name: str
     dim: int
     h: np.ndarray
@@ -97,22 +99,9 @@ class SolveReport:
     cauchy_report: ValidatorReport
     failed_stage: Optional[int] = None  # schedule index of an aborted stage
 
-    def to_dict(self) -> dict:
-        return {
-            "operator_name": self.operator_name,
-            "dim": int(self.dim),
-            "h": [float(x) for x in self.h],
-            "stages": [s.to_dict() for s in self.stages],
-            "final_u": [float(x) for x in self.final_u],
-            "final_residual_eq5": float(self.final_residual_eq5),
-            "bound_report": self.bound_report.to_dict(),
-            "minty_report": self.minty_report.to_dict(),
-            "cauchy_report": self.cauchy_report.to_dict(),
-            "failed_stage": self.failed_stage,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # numpy arrays and scalars become lists and Python scalars
+        return json.dumps(asdict(self), indent=2, default=lambda x: x.tolist())
 
 
 def uniform_bound_check(op: Operator, h, stages: list[StageResult]) -> ValidatorReport:
@@ -229,35 +218,33 @@ def run_continuation(
     """Solve F(u) = h by sweeping the schedule with warm starts.
 
     With trace_dir set, each stage's trace is written there as
-    ``{op.name}_a{a:.3e}.csv`` and the stage's report names that file.  A
+    ``{op.name}_a{a:.3e}.csv`` and the stage's report names that file; two
+    stages whose a gives one name raise ValueError before any flow runs.  A
     stage that fails to converge aborts the sweep; the partial report
     records the failed schedule index.
     """
     h = np.asarray(h, dtype=float)
+    values = sched.values()
+    trace_files = [None] * len(values)
     if trace_dir is not None:
+        trace_files = [f"{op.name}_a{a:.3e}.csv" for a in values]
+        first: dict[str, int] = {}
+        for i, name in enumerate(trace_files):
+            if first.setdefault(name, i) != i:
+                raise ValueError(f"stages {first[name]} and {i} would both write trace {name}")
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
     v0 = np.zeros(op.dim)
     failed_stage = None
-    for i, a in enumerate(sched.values()):
+    for i, (a, trace_file) in enumerate(zip(values, trace_files)):
         sol = integrate_flow(op, a, h, v0, cfg)
-        trace_file = None
-        if trace_dir is not None:
-            trace_file = f"{op.name}_a{a:.3e}.csv"
+        if trace_file is not None:
             trace_to_csv(sol.trace, Path(trace_dir) / trace_file)
-        last = sol.trace.records[-1]
-        stages.append(
-            StageResult(
-                a=a,
-                u_a=sol.u_a,
-                residual_eq6=sol.residual,
-                norm_u=float(np.linalg.norm(sol.u_a)),
-                t_end=last[0],
-                steps=len(sol.trace.records) - 1,
-                terminated_by=sol.trace.terminated_by,
-                trace_file=trace_file,
-            )
-        )
+        summary = FlowSummary(t_end=sol.trace.records[-1][0], steps=len(sol.trace.records) - 1,
+                              terminated_by=sol.trace.terminated_by)
+        stages.append(StageResult(a=a, u_a=sol.u_a, residual_eq6=sol.residual,
+                                  norm_u=float(np.linalg.norm(sol.u_a)), flow_summary=summary,
+                                  trace_file=trace_file))
         if not sol.converged:
             failed_stage = i
             break

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gallery import NumericalEvaluationError, Operator, evaluate, jacobian
-from .linalg import SingularSystemError, solve_regularized
+from .linalg import SingularSystemError, check_a, solve_regularized
 from .validation import ValidatorReport
 
 __all__ = [
@@ -68,8 +68,7 @@ class FlowTrace:
     terminated_by: str = "max_time_reached"
 
     def __post_init__(self):  # here, so a replayed trace's --a is checked too
-        if not 0.0 < self.a < math.inf:  # also rejects nan
-            raise ValueError("regularization parameter a must be positive and finite")
+        check_a(self.a)
 
     def laws(self, t: float) -> tuple[float, float]:
         """(g0 e^-t, (g0/a) e^-t): the residual law and the velocity and tail bound at t."""
@@ -109,8 +108,7 @@ def _norm(x: np.ndarray) -> float:
 
 def residual(op: Operator, a: float, h, v) -> float:
     """||F(v) + a v - h||."""
-    if not 0.0 < a < math.inf:  # also rejects nan
-        raise ValueError("regularization parameter a must be positive and finite")
+    check_a(a)
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     return _norm(evaluate(op, v) + a * v - h)
@@ -119,8 +117,7 @@ def residual(op: Operator, a: float, h, v) -> float:
 def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
     """(v', g, ||v'||) with v' = -(F'(v) + aI)^-1 [F(v) + a v - h], g = ||F(v) + a v - h||,
     and the velocity bound ||v'|| <= g/a asserted."""
-    if not 0.0 < a < math.inf:  # also rejects nan
-        raise ValueError("regularization parameter a must be positive and finite")
+    check_a(a)
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     r = evaluate(op, v) + a * v - h
@@ -160,7 +157,6 @@ _ODE_REL_TOL = 1e-8  # local error per unit time, relative to max(||v||, 1)
 _HORIZON_MARGIN = 5.0  # the flow stops at t = ln(g0/residual_tol) + this margin
 _INITIAL_STEP = 1e-2
 _MIN_STEP = 1e-12
-_MAX_STEP = 1.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -184,10 +180,11 @@ def _stop_reason(exc: ArithmeticError) -> str:
 # stability function (tests/test_flow.py recomputes it by bisection).  The
 # residual vector contracts exactly like e^-t along the flow, so an accepted
 # step multiplies it by R(-h).  The embedded error estimate shrinks with the
-# residual, so late in the flow it stops constraining the step and the
-# controller would otherwise grow h to _MAX_STEP, where the per-step relative
-# defect |R(-h) - e^-h| dwarfs _ODE_REL_TOL.  Capping h keeps the relative
-# residual drift at _ODE_REL_TOL per unit time over the whole trace.
+# residual, so late in the flow it stops constraining the step, and the
+# controller would otherwise keep growing h, by up to _MAX_FACTOR per step,
+# until the per-step relative defect |R(-h) - e^-h| dwarfs _ODE_REL_TOL.
+# Capping h keeps the relative residual drift at _ODE_REL_TOL per unit time
+# over the whole trace.
 _STEP_CAP = 0.12700798380468048
 
 
@@ -335,7 +332,7 @@ def trace_from_csv(path, a: float) -> FlowTrace:
             if not line:
                 continue
             vals = tuple(float(x) for x in line.split(","))
-            if len(vals) != 6:
+            if len(vals) != len(TRACE_CSV_HEADER.split(",")):
                 raise ValueError(f"malformed trace row {line!r}")
             records.append(vals)
     if not records:

@@ -31,6 +31,13 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 _EPS = np.finfo(float).eps
 
+
+def check_a(a: float) -> None:
+    """The one rule for a regularization parameter: 0 < a < inf (so not nan)."""
+    if not 0.0 < a < np.inf:
+        raise ValueError("regularization parameter a must be positive and finite")
+
+
 # ((a, A bytes), lu, piv) of the last factorization that passed its checks.
 # A + aI, the matrix getrf receives, is a function of the key's bits, so a hit
 # returns the factors getrf would compute and the checks, which read only
@@ -47,8 +54,7 @@ def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
     n = rhs.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} incompatible with rhs dim {n}")
-    if not 0.0 < a < np.inf:  # also rejects nan
-        raise ValueError("regularization parameter a must be positive and finite")
+    check_a(a)
     key = (a, A.tobytes())
     memo = _last_factor  # one read, so the key and the factors belong together
     if memo is None or memo[0] != key:

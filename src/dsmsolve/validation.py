@@ -14,7 +14,8 @@ class ValidatorReport:
 
     When ``passed`` is False, ``witness`` holds the pair of vectors that
     produced ``worst_value``, so the failure can be reproduced directly.
-    ``evidence`` carries any extra scalars a check wants to surface.
+    ``evidence`` carries any extra scalars a check wants to surface.  The
+    fields, in order, are the record's JSON (see ``SolveReport.to_json``).
     """
 
     passed: bool
@@ -22,18 +23,6 @@ class ValidatorReport:
     worst_value: float
     witness: Optional[tuple[np.ndarray, np.ndarray]] = None
     evidence: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "passed": bool(self.passed),
-            "samples_checked": int(self.samples_checked),
-            "worst_value": float(self.worst_value),
-            "witness": None,
-            "evidence": {k: float(v) for k, v in self.evidence.items()},
-        }
-        if self.witness is not None:
-            d["witness"] = [list(map(float, w)) for w in self.witness]
-        return d
 
 
 def unit_directions(rng: np.random.Generator, n_dirs: int, dim: int) -> np.ndarray:

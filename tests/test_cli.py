@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -90,6 +91,33 @@ def test_solve_infinite_a0_is_a_usage_error(capsys):
         ContinuationSchedule(a0=float("inf"))
     assert run_cli("solve", "--operator", "identity", "--a0", "inf") == 2
     assert "a0 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["0.9999999", repr(1 - 1e-15)])
+def test_endless_schedule_is_a_usage_error(q, capsys):
+    # checked on the schedule first: values() would list about 1.4e8 (or 1.4e16) values
+    with pytest.raises(ValueError, match="stages"):
+        ContinuationSchedule(decay_factor=float(q))
+    assert run_cli("solve", "--operator", "identity", "--decay-factor", q) == 2
+    assert "more than 1000000" in capsys.readouterr().err
+
+
+def test_stages_may_not_share_a_trace_file(tmp_path, capsys):
+    # a_min = 9.9999999e-7 and the stage before it, 1.0000000000000004e-06, are
+    # both named identity_a1.000e-06.csv, so stage 7's trace would overwrite stage 6's
+    argv = ("solve", "--operator", "identity", "--dim", "2", "--a-min", "9.9999999e-7")
+    trace_dir = tmp_path / "tr"
+    assert run_cli(*argv, "--trace-dir", str(trace_dir)) == 2
+    err = capsys.readouterr().err
+    assert "stages 6 and 7" in err and "identity_a1.000e-06.csv" in err
+    assert not trace_dir.exists()  # refused before any flow runs
+    # without traces the same schedule solves, with the report bytes it always had
+    report = tmp_path / "rep.json"
+    assert run_cli(*argv, "--report", str(report)) == 0
+    assert len(json.loads(report.read_text())["stages"]) == 8
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "ced11387c219315a2bd4ba15e180470f4fb9e4e8621532a02e0215bd97ef8b37"
+    )
 
 
 def test_every_exported_name_resolves():

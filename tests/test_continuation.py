@@ -13,7 +13,7 @@ from dsmsolve import (
     uniform_bound_check,
     verify_solution,
 )
-from dsmsolve.continuation import StageResult
+from dsmsolve.continuation import FlowSummary, StageResult
 
 ROOT_AFFINE_SIN = 1.0630731347759914  # 2x + sin x = 3, bisection tol 1e-14
 
@@ -36,6 +36,26 @@ def test_schedule_validation():
         ContinuationSchedule(a0=1e-7, decay_factor=0.1, a_min=1e-6)
     with pytest.raises(ValueError):
         ContinuationSchedule(decay_factor=1.5)
+
+
+def test_schedule_stage_cap():
+    # log(a_min/a0)/log(q) stages are allowed up to 1,000,000; values() is never called
+    ContinuationSchedule(decay_factor=math.exp(math.log(1e-6) / 999_000))
+    with pytest.raises(ValueError, match="stages"):
+        ContinuationSchedule(decay_factor=math.exp(math.log(1e-6) / 1_001_000))
+    # even when a_min/a0 itself would underflow to 0
+    assert len(ContinuationSchedule(a0=1e300, a_min=5e-324).values()) == 625
+
+
+def test_integer_schedule_serializes_as_float():
+    # values() gives floats, so a0=1 writes "a": 1.0 exactly as a0=1.0 does
+    op = make_operator("identity", 2)
+    reports = [
+        run_continuation(op, [1.0, 3.0], ContinuationSchedule(a0=a0, decay_factor=0.1, a_min=1e-3),
+                         FlowConfig()).to_json()
+        for a0 in (1, 1.0)
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_run_continuation_convex_gradient():
@@ -82,7 +102,7 @@ def test_uniform_bound_identity_closed_form():
         stages.append(
             StageResult(
                 a=a, u_a=u, residual_eq6=0.0, norm_u=float(np.linalg.norm(u)),
-                t_end=0.0, steps=0, terminated_by="residual_tol_reached",
+                flow_summary=FlowSummary(t_end=0.0, steps=0, terminated_by="residual_tol_reached"),
             )
         )
     rep = uniform_bound_check(op, h, stages)
@@ -103,7 +123,7 @@ def test_uniform_bound_rank_one_diverges():
         stages.append(
             StageResult(
                 a=a, u_a=u, residual_eq6=0.0, norm_u=float(np.linalg.norm(u)),
-                t_end=0.0, steps=0, terminated_by="residual_tol_reached",
+                flow_summary=FlowSummary(t_end=0.0, steps=0, terminated_by="residual_tol_reached"),
             )
         )
     rep = uniform_bound_check(op, h, stages)
@@ -149,7 +169,7 @@ def test_monotone_bound_violation_gives_partial_report():
     sched = ContinuationSchedule(a0=2.0, decay_factor=0.5, a_min=0.5)
     rep = run_continuation(op, [1.0], sched, FlowConfig())
     assert rep.failed_stage == 0
-    assert rep.stages[0].terminated_by == "monotone_bound_violated"
+    assert rep.stages[0].flow_summary.terminated_by == "monotone_bound_violated"
     assert len(rep.stages) == 1
     # one stage cannot show a bound, an aborted sweep is no Cauchy sequence,
     # and the negation is not monotone, so Minty fails too
@@ -169,7 +189,7 @@ def test_negative_control_localizes_in_bound_report():
     op = make_operator("rank_one_projector", 5)
     h = np.array([1.0, 2.0, 0.5, -1.0, 0.3])
     rep = run_continuation(op, h, ContinuationSchedule(), FlowConfig())
-    assert all(s.terminated_by == "residual_tol_reached" for s in rep.stages)
+    assert all(s.flow_summary.terminated_by == "residual_tol_reached" for s in rep.stages)
     assert all(s.residual_eq6 <= 1e-10 for s in rep.stages)
     assert not rep.bound_report.passed
 

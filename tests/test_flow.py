@@ -298,8 +298,7 @@ def _decay_step_cap(rel_tol: float) -> float:
 
 
 def test_step_cap_literal_is_the_bisection_root():
-    cap = min(flow._MAX_STEP, _decay_step_cap(flow._ODE_REL_TOL))
-    assert cap.hex() == flow._STEP_CAP.hex()
+    assert _decay_step_cap(flow._ODE_REL_TOL).hex() == flow._STEP_CAP.hex()
 
 
 def test_flow_config_validation():
