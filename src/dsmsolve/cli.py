@@ -39,7 +39,7 @@ from .gallery import (
 )
 from .linalg import min_sym_eig
 from .oracle import OracleFailure, oracle_solve
-from .validation import subrng, subseed
+from .validation import sampled_report, subrng, subseed
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,17 +116,15 @@ def cmd_verify(args) -> int:
     op = _resolve_operator(args)
     mono, coer = _check_hypotheses(op, args.seed)
     rng = subrng(args.seed, "sym_eig_points")
-    eig_min = min(
-        min_sym_eig(jacobian(op, rng.standard_normal(op.dim) * 2.0)) for _ in range(20)
-    )
-    eig_ok = eig_min >= -1e-8
+    eigs = [min_sym_eig(jacobian(op, rng.standard_normal(op.dim) * 2.0)) for _ in range(20)]
+    eig = sampled_report(eigs, -1e-8, at_least=True)
 
     print(f"monotone : empirical={'pass' if mono.passed else 'FAIL'} "
           f"declared={op.declared_monotone} worst={mono.worst_value:.6e}")
     print(f"coercive : empirical={'pass' if coer.passed else 'FAIL'} "
           f"declared={op.declared_coercive} worst={coer.worst_value:.6e}")
-    print(f"jacobian : min symmetric-part eigenvalue over 20 points = {eig_min:.6e} "
-          f"({'pass' if eig_ok else 'FAIL'})")
+    print(f"jacobian : min symmetric-part eigenvalue over 20 points = {eig.worst_value:.6e} "
+          f"({'pass' if eig.passed else 'FAIL'})")
 
     for label, rep, declared in (
         ("monotone", mono, op.declared_monotone),
@@ -137,7 +135,7 @@ def cmd_verify(args) -> int:
             print(f"{label} witness u={list(map(float, u))} v={list(map(float, v))}")
         if declared and not rep.passed:
             print(f"declaration falsified: {label}")
-    ok = mono.passed and coer.passed and eig_ok
+    ok = mono.passed and coer.passed and eig.passed
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .flow import FlowConfig, integrate_flow, trace_to_csv
 from .gallery import Operator, evaluate
-from .validation import ValidatorReport, unit_directions
+from .validation import ValidatorReport, sampled_report, unit_directions
 
 __all__ = [
     "ContinuationSchedule",
@@ -121,32 +121,23 @@ def uniform_bound_check(op: Operator, h, stages: list[StageResult]) -> Validator
     norms = np.array([s.norm_u for s in stages])
     med = float(np.median(norms))
     norm_ratio = float(norms.max() / max(med, 1e-300))
-    worst = 0.0
-    witness = None
-    n_checked = 0
+    values, witnesses = [], []
     for s in stages:
         if s.norm_u <= 1e-8:
             continue
-        n_checked += 1
         u = s.u_a
         q = float(np.dot(evaluate(op, u), u)) / s.norm_u
         ident = abs(q + s.a * s.norm_u - float(np.dot(h, u)) / s.norm_u)
         excess = q - h_norm
-        if max(ident, excess) > worst:
-            worst = max(ident, excess)
-            witness = (u, h)
-    passed = norm_ratio <= 10.0 and worst <= 1e-8
-    if norm_ratio > 10.0:
-        worst = norm_ratio
-        k = int(np.argmax(norms))
-        witness = (stages[k].u_a, h)
-    return ValidatorReport(
-        passed=passed,
-        samples_checked=len(stages) + n_checked,
-        worst_value=worst,
-        witness=None if passed else witness,
-        evidence={"max_norm": float(norms.max()), "median_norm": med},
-    )
+        # non-finite if either part is (Python's max would drop a nan excess)
+        values.append(max(ident, excess) if math.isfinite(excess) else excess)
+        witnesses.append((u, h))
+    n_checked = len(values)
+    if not norm_ratio <= 10.0:  # a nan ratio fails too
+        values, witnesses = [norm_ratio], [(stages[int(np.argmax(norms))].u_a, h)]
+    report = sampled_report(values, 1e-8, witnesses,
+                            evidence={"max_norm": float(norms.max()), "median_norm": med})
+    return replace(report, samples_checked=len(stages) + n_checked)
 
 
 _MINTY_STEPS = (1e-1, 1e-2, 1e-3)
@@ -165,26 +156,13 @@ def minty_diagnostic(op: Operator, u, h, seed: int = 0) -> ValidatorReport:
     tol = 1e-6 * (1.0 + float(np.linalg.norm(h)))
     rng = np.random.default_rng(seed)
     dirs = unit_directions(rng, _MINTY_DIRS, op.dim)
-    worst = np.inf
-    witness = None
-    for s in _MINTY_STEPS:
-        for eta in dirs:
-            val = float(np.dot(h - evaluate(op, u - s * eta), eta))
-            if val < worst:
-                worst = val
-                witness = (u - s * eta, eta)
-    r = h - evaluate(op, u)
-    r_norm = float(np.linalg.norm(r))
-    evidence = {"closing_direction_value": r_norm}  # (r, r)/||r|| == ||r||
-    # an overflowing ||h|| would make tol infinite, which any worst value meets
-    passed = math.isfinite(tol) and math.isfinite(r_norm) and worst >= -tol
-    return ValidatorReport(
-        passed=passed,
-        samples_checked=len(_MINTY_STEPS) * _MINTY_DIRS,
-        worst_value=worst,
-        witness=None if passed else witness,
-        evidence=evidence,
-    )
+    probes = [(u - s * eta, eta) for s in _MINTY_STEPS for eta in dirs]
+    values = [float(np.dot(h - evaluate(op, p), eta)) for p, eta in probes]
+    r_norm = float(np.linalg.norm(h - evaluate(op, u)))  # r = h - F(u): (r, r)/||r|| == ||r||
+    # a non-finite tol (an overflowing ||h||) or closing value leaves no finite limit: a fail
+    limit = -tol if math.isfinite(r_norm) else math.nan
+    return sampled_report(values, limit, probes, at_least=True,
+                          evidence={"closing_direction_value": r_norm})
 
 
 def _cauchy_check(stages: list[StageResult], floor: float) -> ValidatorReport:

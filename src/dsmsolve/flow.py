@@ -22,7 +22,7 @@ import numpy as np
 
 from .gallery import NumericalEvaluationError, Operator, evaluate, jacobian
 from .linalg import SingularSystemError, check_a, solve_regularized
-from .validation import ValidatorReport
+from .validation import ValidatorReport, sampled_report
 
 __all__ = [
     "FlowConfig",
@@ -270,22 +270,12 @@ def _ratio(value: float, bound: float) -> float:
     return value / bound if bound else (0.0 if value == 0.0 else math.inf)
 
 
-def _ratio_report(ratios: list[float], limit: float) -> ValidatorReport:
-    """Pass iff every ratio is finite and <= limit; a non-finite ratio is the worst."""
-    worst = next((x for x in ratios if not math.isfinite(x)), max(0.0, *ratios))
-    return ValidatorReport(
-        passed=math.isfinite(worst) and worst <= limit,
-        samples_checked=len(ratios),
-        worst_value=worst,
-    )
-
-
 def verify_decay(trace: FlowTrace) -> ValidatorReport:
     """Check |g(t) - g0 e^-t| <= _DECAY_FACTOR * _ODE_REL_TOL * g0 on every record."""
     if not trace.records:
         raise ValueError("empty trace")
     budget = _DECAY_FACTOR * _ODE_REL_TOL * trace.g0
-    return _ratio_report(
+    return sampled_report(
         [_ratio(abs(g - trace.laws(t)[0]), budget) for t, g, *_ in trace.records], 1.0
     )
 
@@ -294,7 +284,7 @@ def verify_vdot_bound(trace: FlowTrace) -> ValidatorReport:
     """Check ||v'|| <= (g0/a) e^-t (1 + _VDOT_SLACK) on every record."""
     if not trace.records:
         raise ValueError("empty trace")
-    return _ratio_report(
+    return sampled_report(
         [_ratio(vdot_norm, trace.laws(t)[1]) for t, _, _, vdot_norm, *_ in trace.records],
         1.0 + _VDOT_SLACK,
     )
@@ -305,7 +295,7 @@ def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
     if not trace.records or len(trace.states) != len(trace.records):
         raise ValueError("trace must carry states (not available after CSV round-trip)")
     u_a = np.asarray(u_a, dtype=float)
-    return _ratio_report(
+    return sampled_report(
         [_ratio(float(np.linalg.norm(v - u_a)), trace.laws(t)[1])
          for (t, *_), v in zip(trace.records, trace.states)],
         1.0 + _TAIL_SLACK,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .validation import ValidatorReport, unit_directions
+from .validation import ValidatorReport, sampled_report, unit_directions
 
 Array = np.ndarray
 
@@ -93,22 +93,10 @@ def _ball_sample(rng: np.random.Generator, dim: int, radius: float) -> Array:
 def check_monotone(op: Operator, sampler_seed: int) -> ValidatorReport:
     """Sampled test of (F(u)-F(v), u-v) >= -_MONOTONE_TOL on pairs in a ball."""
     rng = np.random.default_rng(sampler_seed)
-    worst = np.inf
-    witness = None
-    for _ in range(_MONOTONE_PAIRS):
-        u = _ball_sample(rng, op.dim, _MONOTONE_RADIUS)
-        v = _ball_sample(rng, op.dim, _MONOTONE_RADIUS)
-        pairing = float(np.dot(evaluate(op, u) - evaluate(op, v), u - v))
-        if pairing < worst:
-            worst = pairing
-            witness = (u, v)
-    passed = worst >= -_MONOTONE_TOL
-    return ValidatorReport(
-        passed=passed,
-        samples_checked=_MONOTONE_PAIRS,
-        worst_value=worst,
-        witness=None if passed else witness,
-    )
+    draw = lambda: _ball_sample(rng, op.dim, _MONOTONE_RADIUS)
+    pairs = [(draw(), draw()) for _ in range(_MONOTONE_PAIRS)]  # (u, v), u drawn first
+    pairings = [float(np.dot(evaluate(op, u) - evaluate(op, v), u - v)) for u, v in pairs]
+    return sampled_report(pairings, -_MONOTONE_TOL, pairs, at_least=True)
 
 
 def check_coercive(op: Operator, directions_seed: int) -> ValidatorReport:

@@ -1,7 +1,8 @@
-"""Evidence carrier shared by all empirical checks."""
+"""Evidence carrier shared by all empirical checks, and the one verdict rule."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,30 @@ class ValidatorReport:
     worst_value: float
     witness: Optional[tuple[np.ndarray, np.ndarray]] = None
     evidence: dict = field(default_factory=dict)
+
+
+def sampled_report(values: list[float], limit: float, witnesses=None, *, at_least: bool = False,
+                   evidence=None) -> ValidatorReport:
+    """The one verdict rule of a sampled certificate: every value <= limit (>= with at_least).
+
+    The worst value is the first sample that is not finite, else the largest
+    floored at 0.0 (the smallest with at_least), ties going to the first.  The
+    check passes iff the worst value and the limit are finite and the worst is
+    within the limit; a failed check carries the worst sample's witness.
+    check_coercive and the Cauchy check are not threshold scans over samples and
+    keep their own rules, which fail on nan through their comparisons.
+    """
+    i = next((k for k, x in enumerate(values) if not math.isfinite(x)), None)
+    if i is None and values:
+        i = (min if at_least else max)(range(len(values)), key=values.__getitem__)
+    worst = 0.0 if i is None else values[i]
+    if not at_least and math.isfinite(worst):
+        worst = max(0.0, worst)  # so a -0.0 reads 0.0
+    within = limit <= worst if at_least else worst <= limit
+    passed = math.isfinite(worst) and math.isfinite(limit) and within
+    return ValidatorReport(passed=passed, samples_checked=len(values), worst_value=worst,
+                           witness=None if passed or not witnesses else witnesses[i],
+                           evidence=evidence or {})
 
 
 def unit_directions(rng: np.random.Generator, n_dirs: int, dim: int) -> np.ndarray:

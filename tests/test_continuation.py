@@ -14,6 +14,7 @@ from dsmsolve import (
     verify_solution,
 )
 from dsmsolve.continuation import FlowSummary, StageResult
+from dsmsolve.gallery import Operator
 
 ROOT_AFFINE_SIN = 1.0630731347759914  # 2x + sin x = 3, bisection tol 1e-14
 
@@ -154,6 +155,45 @@ def test_minty_fails_when_target_norm_overflows():
     assert not rep.passed
     assert rep.worst_value < -1e199
     assert rep.evidence["closing_direction_value"] == math.inf
+
+
+def test_minty_fails_when_F_is_nan_off_the_point():
+    """F is finite at u (so the closing value is finite) but nan at every probe point."""
+    u0 = np.ones(3)
+    op = Operator(name="nan_off_u", dim=3, jac=lambda u: np.eye(3),
+                  fn=lambda u: u.copy() if np.array_equal(u, u0) else np.full(3, np.nan))
+    rep = minty_diagnostic(op, u0, u0, seed=0)
+    assert rep.evidence["closing_direction_value"] == 0.0
+    assert not rep.passed
+    assert np.isnan(rep.worst_value)
+    assert rep.witness is not None
+
+
+def test_minty_fails_when_F_is_nan_at_the_point():
+    """Every probe passes, but the closing value ||F(u) - h|| is nan."""
+    u0 = np.ones(3)
+    op = Operator(name="nan_at_u", dim=3, jac=lambda u: np.eye(3),
+                  fn=lambda u: np.full(3, np.nan) if np.array_equal(u, u0) else u.copy())
+    rep = minty_diagnostic(op, u0, u0, seed=0)
+    assert math.isnan(rep.evidence["closing_direction_value"])
+    assert not rep.passed
+    assert rep.worst_value > 0.0  # the probes alone would pass
+    assert rep.witness is not None
+
+
+def test_uniform_bound_fails_on_nan_operator():
+    op = Operator(name="nan", dim=3, fn=lambda u: np.full(3, np.nan), jac=lambda u: np.eye(3))
+    h = np.ones(3)
+    summary = FlowSummary(t_end=0.0, steps=0, terminated_by="residual_tol_reached")
+    stages = [
+        StageResult(a=a, u_a=k * h, residual_eq6=0.0, norm_u=float(np.linalg.norm(k * h)),
+                    flow_summary=summary)
+        for a, k in ((1.0, 1.0), (0.1, 1.5))
+    ]
+    rep = uniform_bound_check(op, h, stages)
+    assert not rep.passed
+    assert np.isnan(rep.worst_value)
+    assert rep.samples_checked == 4
 
 
 def test_minty_on_computed_solution():

@@ -11,7 +11,7 @@ from dsmsolve import (
     make_operator,
     min_sym_eig,
 )
-from dsmsolve.gallery import DimensionMismatchError
+from dsmsolve.gallery import DimensionMismatchError, Operator
 
 from certificates import fd_jacobian
 from conftest import seeded_points
@@ -97,6 +97,15 @@ def test_check_monotone_skew_plus_cubic():
     for _ in range(20):
         d = rng.standard_normal(5)
         assert abs(np.dot(S @ d, d)) < 1e-12
+
+
+def test_check_monotone_fails_on_nan_operator():
+    """Every pairing is nan; a scan that skips nan would pass with worst inf."""
+    op = Operator(name="nan", dim=3, fn=lambda u: np.full(3, np.nan), jac=lambda u: np.eye(3))
+    rep = check_monotone(op, 0)
+    assert not rep.passed
+    assert np.isnan(rep.worst_value)
+    assert rep.witness is not None
 
 
 def test_check_monotone_deterministic():

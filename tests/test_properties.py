@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic invariants the solver leans on."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 from dsmsolve import (
     ContinuationSchedule,
+    FlowConfig,
+    check_coercive,
+    check_monotone,
     evaluate,
     make_operator,
     min_sym_eig,
     residual,
+    run_continuation,
     solve_regularized,
 )
+from dsmsolve.gallery import Operator
+from dsmsolve.validation import sampled_report
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -76,3 +84,108 @@ def test_schedule_values_shape(a0, decay, ratio):
     assert vals[-1] == sched.a_min
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(v >= sched.a_min for v in vals)
+
+
+# --- the one verdict rule of a sampled certificate ---------------------------
+
+# few distinct values, so ties and signed zeros come up often
+samples = st.lists(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2.5, -2.5]) | finite,
+                   min_size=1, max_size=12)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _scan_at_least(values, limit):
+    """check_monotone's and minty_diagnostic's scan before the shared rule."""
+    worst, witness = np.inf, None
+    for k, val in enumerate(values):
+        if val < worst:
+            worst, witness = val, k
+    passed = worst >= limit
+    return passed, worst, None if passed else witness
+
+
+def _scan_at_most(values, limit):
+    """uniform_bound_check's scan before the shared rule."""
+    worst, witness = 0.0, None
+    for k, val in enumerate(values):
+        if val > worst:
+            worst, witness = val, k
+    passed = worst <= limit
+    return passed, worst, None if passed else witness
+
+
+@given(values=samples, limit=st.sampled_from([-1e-10, -1e-8, 0.0, -2.5]) | finite)
+def test_rule_at_least_matches_the_scan_on_finite_samples(values, limit):
+    rep = sampled_report(values, limit, list(range(len(values))), at_least=True)
+    passed, worst, witness = _scan_at_least(values, limit)
+    assert (rep.passed, repr(rep.worst_value), rep.witness) == (passed, repr(worst), witness)
+
+
+@given(values=samples, limit=st.sampled_from([0.0, 1e-8, 1.0, 2.5]) | st.floats(0.0, 1e3))
+def test_rule_at_most_matches_the_scans_on_finite_samples(values, limit):
+    rep = sampled_report(values, limit, list(range(len(values))))
+    passed, worst, witness = _scan_at_most(values, limit)
+    assert (rep.passed, repr(rep.worst_value), rep.witness) == (passed, repr(worst), witness)
+    # the flow verifiers' rule: the largest ratio, floored at 0.0 (a -0.0 reads 0.0)
+    assert repr(rep.worst_value) == repr(max(0.0, *values))
+
+
+@given(values=samples, bad=non_finite, later=st.lists(non_finite | finite, max_size=4),
+       at=st.integers(min_value=0), at_least=st.booleans())
+def test_rule_fails_on_a_non_finite_sample(values, bad, later, at, at_least):
+    k = at % (len(values) + 1)
+    values = values[:k] + [bad] + values[k:] + later
+    rep = sampled_report(values, -1e-8 if at_least else 1.0, list(range(len(values))),
+                         at_least=at_least)
+    assert not rep.passed
+    assert repr(rep.worst_value) == repr(bad)
+    assert rep.witness == k
+
+
+@given(values=samples, limit=non_finite, at_least=st.booleans())
+def test_rule_non_finite_limit_passes_nothing(values, limit, at_least):
+    assert not sampled_report(values, limit, at_least=at_least).passed
+
+
+# --- generated monotone, coercive operators -----------------------------------
+
+
+def monotone_coercive_operator(seed: int, n: int) -> Operator:
+    """F(u) = (BB^T + K - K^T) u + c*u^3 + b*u with c >= 0 and b > 0, seeded."""
+    rng = np.random.default_rng(seed)
+    B, K = rng.standard_normal((2, n, n))
+    A = B @ B.T + K - K.T
+    c = rng.uniform(0.0, 1.0, n)
+    b = rng.uniform(0.1, 1.0, n)
+    return Operator(
+        name=f"generated_{seed}",
+        dim=n,
+        fn=lambda u: A @ u + c * u**3 + b * u,
+        jac=lambda u: A + np.diag(3.0 * c * u**2 + b),
+        declared_monotone=True,
+        declared_strictly_monotone=True,
+        declared_coercive=True,
+    )
+
+
+generated = st.builds(monotone_coercive_operator, st.integers(0, 2**32 - 1), st.integers(1, 4))
+
+
+@given(op=generated, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_generated_operator_passes_monotone_and_coercive(op, seed):
+    assert check_monotone(op, seed).passed
+    assert check_coercive(op, seed).passed
+    negated = Operator(name="negated", dim=op.dim, fn=lambda u: -op.fn(u),
+                       jac=lambda u: -op.jac(u))
+    assert not check_monotone(negated, seed).passed
+
+
+@given(op=generated, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_continuation_certifies_generated_operator(op, seed):
+    h = np.random.default_rng(seed).standard_normal(op.dim)
+    rep = run_continuation(op, h, ContinuationSchedule(), FlowConfig(), minty_seed=seed)
+    assert rep.failed_stage is None
+    assert rep.final_residual_eq5 <= 1e-5
+    assert rep.bound_report.passed and rep.minty_report.passed and rep.cauchy_report.passed
