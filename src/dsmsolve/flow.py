@@ -124,8 +124,10 @@ def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
     g = _norm(r)
     if not math.isfinite(g):
         raise NumericalEvaluationError(f"non-finite residual norm for {op.name} at a={a:g}")
-    w = -solve_regularized(jacobian(op, v), a, r)
+    w = -solve_regularized(jacobian(op, v, dense=False), a, r)
     wnorm = _norm(w)
+    if not math.isfinite(wnorm):
+        raise NumericalEvaluationError(f"non-finite velocity for {op.name} at a={a:g}")
     if wnorm > (g / a) * (1.0 + _VDOT_SLACK) + 1e-300:
         raise MonotoneBoundError(
             f"||v'|| = {wnorm:.6e} > g/a = {g / a:.6e} at a flow point; "

@@ -1,16 +1,22 @@
-"""Dense kernels for the regularized systems (A + aI)x = rhs.
+"""Kernels for the regularized systems (A + aI)x = rhs.
 
 Monotonicity of the underlying map makes A positive semidefinite in the
 symmetric-part sense, which gives ||(A+aI)^-1|| <= 1/a.
 
-A + aI is factored by LAPACK getrf/getrs, called directly.  The tiny-pivot
-check (SingularSystemError) also covers an exactly zero pivot (getrf info > 0).
-An unchanged A + aI reuses its factors: the last successful factorization is
-kept, keyed on a and the exact bytes of A, so a linear operator, whose Jacobian
-is constant, factors once per value of a.
+A is F'(u) in the form the operator declared.  An (n, n) matrix is factored
+by LAPACK getrf/getrs, called directly.  An (n,) vector is the diagonal of
+F'(u), and the system is solved as rhs / (A + a): where no quotient
+overflows, that is what getrs returns for the diagonal matrix, bit for bit.
+Both forms raise the same errors with the same pivot, and the tiny-pivot
+check (SingularSystemError) also covers an exactly zero pivot (getrf info >
+0).  An unchanged system reuses its last successful preparation, keyed on a,
+the form and the exact bytes of A, so a linear operator, whose Jacobian is
+constant, factors once per value of a.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -38,27 +44,53 @@ def check_a(a: float) -> None:
         raise ValueError("regularization parameter a must be positive and finite")
 
 
-# ((a, A bytes), lu, piv) of the last factorization that passed its checks.
-# A + aI, the matrix getrf receives, is a function of the key's bits, so a hit
-# returns the factors getrf would compute and the checks, which read only
-# those bits, still hold; and a hit does not form A + aI.  A failing matrix
-# is never stored, so it raises on every call.
+@functools.lru_cache(maxsize=8)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False  # shared by every dense miss at this n
+    return eye
+
+
+# ((a, A.ndim, A bytes), lu, piv) of the last factorization that passed its
+# checks, or ((a, 1, A bytes), A + a, min|A + a| >= 1) of the last diagonal.
+# The system is a function of the key's bits (the form is in the key because
+# a (1,) and a (1, 1) array have the same bytes), so a hit returns what a miss
+# would compute and the checks, which read only those bits, still hold; and a
+# hit does not form A + aI.  A failing system is never stored, so it raises
+# on every call.
 _last_factor = None
 
 
 def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + aI)x = rhs by LU with partial pivoting."""
+    """Solve (A + aI)x = rhs: an (n, n) A by LU with partial pivoting, the (n,)
+    diagonal of one by division."""
     global _last_factor
     A = np.asarray(A, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    if A.shape != (n, n):
+    if A.shape != (n, n) and A.shape != (n,):
         raise ValueError(f"matrix shape {A.shape} incompatible with rhs dim {n}")
     check_a(a)
-    key = (a, A.tobytes())
+    key = (a, A.ndim, A.tobytes())
     memo = _last_factor  # one read, so the key and the factors belong together
+    if A.ndim == 1:
+        if memo is None or memo[0] != key:
+            # getrf on diag(A) + aI pivots on A + a, with no row swap
+            da = A + a
+            if not np.isfinite(da).all():
+                raise NumericalEvaluationError("non-finite matrix entries")
+            mag = np.abs(da)
+            pivot = float(mag.min())
+            if pivot <= _EPS * max(1.0, float(mag.max())) * n:
+                raise SingularSystemError(pivot)
+            da.flags.writeable = False  # shared by every hit
+            memo = _last_factor = (key, da, pivot >= 1.0)
+        if memo[2]:  # |rhs / (A + a)| <= |rhs|: no quotient can overflow
+            return rhs / memo[1]
+        with np.errstate(over="ignore"):  # getrs, too, overflows to inf silently
+            return rhs / memo[1]
     if memo is None or memo[0] != key:
-        Aa = A + a * np.eye(n)
+        Aa = A + a * _eye(n)
         if not np.isfinite(Aa).all():
             raise NumericalEvaluationError("non-finite matrix entries")
         tiny = _EPS * max(1.0, float(np.abs(Aa).max())) * n

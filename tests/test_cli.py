@@ -349,6 +349,14 @@ def test_overflow_is_named_at_the_residual(capsys):
     assert "non-finite matrix entries" not in err
 
 
+def test_overflowing_velocity_is_named(tmp_path, capsys):
+    # g/a = 1e310: v' = -inf at the first flow point, before any residual overflows
+    rc = run_cli("flow", "--operator", "scalar_cubic", "--a", "1e-10", "--target",
+                 "explicit:-1e300", "--trace-dir", str(tmp_path))
+    assert rc == 1
+    assert "error: non-finite velocity for scalar_cubic" in capsys.readouterr().err
+
+
 def test_monotone_bound_violation_ends_the_flow(tmp_path, capsys):
     rc = run_cli("flow", "--operator", "scalar_negation", "--a", "2", "--trace-dir", str(tmp_path))
     assert rc == 1

@@ -16,6 +16,7 @@ from dsmsolve import (
 )
 from dsmsolve import flow
 from dsmsolve.flow import FlowTrace, trace_from_csv, trace_to_csv
+from dsmsolve.gallery import NumericalEvaluationError, Operator
 
 from certificates import check_uniqueness
 
@@ -84,6 +85,17 @@ def test_dsm_rhs_scalar_cubic():
     op = make_operator("scalar_cubic")
     # -(3*1 + 1)^-1 (1 + 1 - 8) = 1.5
     assert dsm_rhs(op, 1.0, [8.0], [1.0])[0] == pytest.approx([1.5])
+
+
+@pytest.mark.parametrize("jac", [
+    lambda u: np.array([3.0 * u[0] ** 2]),  # the diagonal: solved by division
+    lambda u: np.array([[3.0 * u[0] ** 2]]),  # the matrix: solved by LU
+], ids=["diagonal", "dense"])
+def test_dsm_rhs_rejects_a_non_finite_velocity(jac):
+    """g/a = 1e310 overflows, so v' is -inf; the velocity bound cannot see it."""
+    op = Operator("cubic", 1, fn=lambda u: u**3, jac=jac)
+    with pytest.raises(NumericalEvaluationError, match="non-finite velocity"):
+        dsm_rhs(op, 1e-10, [-1e300], [0.0])
 
 
 @pytest.mark.parametrize("dim", [1, 5, 20])

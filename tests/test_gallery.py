@@ -61,6 +61,43 @@ def test_jacobian_scalar_affine_sin():
     np.testing.assert_allclose(jacobian(op, [0.0]), [[3.0]])
 
 
+# reference: each diagonal member's Jacobian built as an n x n matrix
+DENSE_JACOBIANS = {
+    "scalar_cubic": lambda u: np.array([[3.0 * u[0] ** 2]]),
+    "scalar_affine_sin": lambda u: np.array([[2.0 + np.cos(u[0])]]),
+    "scalar_negation": lambda u: np.array([[-1.0]]),
+    "identity": lambda u: np.eye(len(u)),
+    "convex_gradient": lambda u: np.diag(3.0 * u**2 + 1.0),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 5, 20])
+def test_diagonal_members_keep_their_dense_jacobian(dim):
+    """jacobian() is the dense matrix, bit for bit; dense=False is the declared form."""
+    for name in GALLERY_NAMES:
+        op = make_operator(name, dim)
+        # the last point is one where 3.0 * u**2 on the array is 1 ulp off the scalar power
+        pts = [*seeded_points(dim, 200, op.dim, radius=1e4), np.full(op.dim, -1.523386358242358)]
+        for u in pts:
+            declared = jacobian(op, u, dense=False)
+            if name in DENSE_JACOBIANS:
+                assert declared.shape == (op.dim,), name
+                assert jacobian(op, u).tobytes() == DENSE_JACOBIANS[name](u).tobytes(), (name, u)
+                assert np.diag(declared).tobytes() == jacobian(op, u).tobytes(), name
+            else:
+                assert declared.tobytes() == jacobian(op, u).tobytes(), name
+                assert declared.shape == (op.dim, op.dim), name
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 1), (), (3, 4), (1, 3, 3)])
+def test_jacobian_shape_contract(shape):
+    """A Jacobian is an (n,) diagonal or an (n, n) matrix; any other shape is rejected."""
+    op = Operator("bad", 3, fn=lambda u: u, jac=lambda u: np.ones(shape))
+    for dense in (True, False):
+        with pytest.raises(DimensionMismatchError):
+            jacobian(op, np.zeros(3), dense=dense)
+
+
 def test_jacobian_finite_difference_path():
     # the central-difference reference against the analytic Jacobian
     op = make_operator("convex_gradient", 3)

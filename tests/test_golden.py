@@ -10,6 +10,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from dsmsolve import (
     ContinuationSchedule,
@@ -53,6 +54,18 @@ def test_continuation_report_bytes_n20():
     assert _sha256(report.to_json().encode()) == (
         "e7e7367646aafd3561cbb8b9d1765029f20f000c05b47c4e0ffb394d9264c5af"
     )
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("convex_gradient", "080e9714daff14ce5b8554daa27f25d634fbeb157865ede42ea9abad53e07757"),
+    ("identity", "dda7ac316b941874bb6ba202dfc40a6297beb201c94aa4e0f076ff0cc4ecea17"),
+])
+def test_diagonal_jacobian_report_bytes_n20(name, digest):
+    # operators whose Jacobian is returned as its diagonal, solved by division
+    op = make_operator(name, 20)
+    h = np.random.default_rng(20).standard_normal(20)
+    report = run_continuation(op, h, ContinuationSchedule(), FlowConfig())
+    assert _sha256(report.to_json().encode()) == digest
 
 
 def test_oracle_solution_bytes():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -245,3 +246,70 @@ def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
         assert factored == len(rep.stages) < len(solves)
     else:
         assert factored == len(solves)
+
+
+def _continuation_n20(op):
+    h = np.random.default_rng(20).standard_normal(op.dim)
+    return run_continuation(op, h, ContinuationSchedule(), FlowConfig())
+
+
+@pytest.mark.parametrize("name, factorizations", [
+    ("convex_gradient", 0), ("identity", 0), ("scalar_cubic", 0),
+    ("skew_plus_cubic", 7099), ("spd_tridiag", 7),
+])
+def test_factorizations_at_dim_20(getrf_calls, name, factorizations):
+    """A diagonal Jacobian is never factored; a dense one as often as ever."""
+    _continuation_n20(make_operator(name, 20))
+    assert len(getrf_calls) == factorizations
+
+
+@pytest.mark.parametrize("name, factorizations", [
+    ("convex_gradient", 7009), ("identity", 7), ("scalar_cubic", 6487),
+])
+def test_diagonal_jacobian_gives_the_dense_report(getrf_calls, name, factorizations):
+    """The same operator with its Jacobian expanded to n x n factors at every
+    changed system, and its report has the same bytes."""
+    op = make_operator(name, 20)
+    rep = _continuation_n20(op)
+    assert not getrf_calls
+    dense_rep = _continuation_n20(dataclasses.replace(op, jac=lambda u: jacobian(op, u)))
+    assert len(getrf_calls) == factorizations
+    assert rep.to_json() == dense_rep.to_json()
+
+
+def test_constant_diagonal_reuses_its_memo(monkeypatch):
+    # identity's diagonal is a fresh ones(n) at every point, with the same bytes
+    monkeypatch.setattr(linalg, "_last_factor", None)
+    solve_regularized(np.ones(3), 0.5, np.ones(3))
+    memo = linalg._last_factor
+    for rhs in (np.ones(3), np.arange(3.0), -np.ones(3)):
+        assert solve_regularized(np.ones(3), 0.5, rhs).tobytes() == (rhs / 1.5).tobytes()
+    assert linalg._last_factor is memo
+    solve_regularized(np.ones(3), 0.25, np.ones(3))
+    assert linalg._last_factor is not memo
+
+
+def test_diagonal_and_matrix_of_one_do_not_share_the_memo(getrf_calls):
+    # a (1,) and a (1, 1) array have the same bytes; the key's form tells them apart
+    for J in (np.array([2.0]), np.array([[2.0]]), np.array([2.0]), np.array([[2.0]])):
+        assert solve_regularized(J, 0.5, np.array([5.0])).tobytes() == np.array([2.0]).tobytes()
+    assert len(getrf_calls) == 2
+
+
+@pytest.mark.parametrize("d, a, rhs", [
+    ([0.0], 1e-10, [1e300]),  # min|d + a| < 1: the quotient overflows to inf
+    ([1.0, 1e-10], 1e-12, [1.0, -1e300]),
+    ([1.0], 1e-12, [1.7e308]),  # min|d + a| >= 1: no quotient can overflow
+])
+def test_diagonal_overflow_is_silent(d, a, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_regularized(np.array(d), a, np.array(rhs))
+    assert x.tolist() == [r / (di + a) for di, r in zip(d, rhs)]  # Python floats: inf, no error
+
+
+def test_dense_misses_share_a_read_only_identity():
+    eye = linalg._eye(4)
+    assert eye is linalg._eye(4)
+    assert not eye.flags.writeable
+    assert eye.tobytes() == np.eye(4).tobytes()

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,9 +17,10 @@ from dsmsolve import (
     min_sym_eig,
     residual,
     run_continuation,
+    SingularSystemError,
     solve_regularized,
 )
-from dsmsolve.gallery import Operator
+from dsmsolve.gallery import NumericalEvaluationError, Operator
 from dsmsolve.validation import sampled_report
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -84,6 +85,50 @@ def test_schedule_values_shape(a0, decay, ratio):
     assert vals[-1] == sched.a_min
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(v >= sched.a_min for v in vals)
+
+
+# --- the diagonal solve is getrs on the diagonal matrix -----------------------
+
+
+def signed_powers(n, lo, hi):
+    """n values +-10^e with e uniform in [lo, hi]."""
+    return st.tuples(arrays(np.float64, (n,), elements=st.floats(lo, hi)),
+                     arrays(np.bool_, (n,))).map(lambda p: np.where(p[1], -1.0, 1.0) * 10.0 ** p[0])
+
+
+@st.composite
+def diagonal_systems(draw):
+    """(d, a, rhs): |d| in [1e-8, 1e8], a in [1e-12, 1e3], |rhs| in [1e-150, 1e150], n <= 259.
+
+    In about a third of the systems one entry of d instead makes d + a zero,
+    tiny (an ulp of a) or non-finite, so the error paths come up too."""
+    n = draw(st.integers(1, 259))
+    a = 10.0 ** draw(st.floats(-12.0, 3.0))
+    d = draw(signed_powers(n, -8.0, 8.0))
+    rhs = draw(signed_powers(n, -150.0, 150.0))
+    if draw(st.integers(0, 2)) == 2:
+        d[draw(st.integers(0, n - 1))] = draw(st.sampled_from([
+            -a, np.nextafter(-a, 0.0), np.nextafter(-a, -np.inf), -a * (1.0 - 1e-13),
+            math.nan, math.inf, -math.inf,
+        ]))
+    return d, a, rhs
+
+
+def _outcome(J, a, rhs):
+    """The solution's bytes, or the exception's class and pivot."""
+    try:
+        return solve_regularized(J, a, rhs).tobytes()
+    except (SingularSystemError, NumericalEvaluationError) as exc:
+        return type(exc), getattr(exc, "pivot", None)
+
+
+@given(system=diagonal_systems())
+@example(system=(np.array([-(1.0 - 2.0**-52)]), 1.0, np.ones(1)))  # pivot eps, at the threshold
+@example(system=(np.array([np.nextafter(-1e-3, 0.0)]), 1e-3, np.ones(1)))  # every |d + a| < 1
+@settings(max_examples=300)
+def test_diagonal_solve_is_the_dense_solve_bit_for_bit(system):
+    d, a, rhs = system
+    assert _outcome(d, a, rhs) == _outcome(np.diag(d), a, rhs)
 
 
 # --- the one verdict rule of a sampled certificate ---------------------------
