@@ -39,7 +39,7 @@ from .gallery import (
 )
 from .linalg import min_sym_eig
 from .oracle import OracleFailure, oracle_solve
-from .validation import sampled_report, subrng, subseed
+from .validation import ValidatorReport, norm, sampled_report, subrng, subseed
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,7 +71,7 @@ def parse_target(spec: str, dim: int, seed: int) -> np.ndarray:
             raise ValueError(f"NORM_CAP must be a number >= 0, got {parts[2]!r}")
         rng = subrng(seed, f"target:{tseed}")
         h = rng.standard_normal(dim)
-        n = np.linalg.norm(h)
+        n = norm(h)
         if n > cap:
             h *= cap / n
     else:
@@ -92,6 +92,26 @@ def _check_hypotheses(op, seed: int):
     mono = check_monotone(op, subseed(seed, "monotone"))
     coer = check_coercive(op, subseed(seed, "coercive"))
     return mono, coer
+
+
+# the laws a flow trace is audited against, with or without its states
+_LAWS = (("decay", verify_decay), ("vdot_bound", verify_vdot_bound))
+
+
+def _print_verdicts(checks) -> list[str]:
+    """Print a pass/FAIL line per (name, verdict) and return the failed names.
+
+    A verdict is a ValidatorReport, whose line adds its worst value, or a bool.
+    """
+    failed = []
+    for name, verdict in checks:
+        is_report = isinstance(verdict, ValidatorReport)
+        passed = verdict.passed if is_report else verdict
+        worst = f" (worst {verdict.worst_value:.6e})" if is_report else ""
+        print(f"{name}: {'pass' if passed else 'FAIL'}{worst}")
+        if not passed:
+            failed.append(name)
+    return failed
 
 
 def _run_solve(op, h, seed: int, sched, cfg, trace_dir) -> SolveReport:
@@ -148,12 +168,7 @@ def cmd_flow(args) -> int:
 
     if args.replay is not None:
         trace = trace_from_csv(args.replay, a)
-        checks = {"decay": verify_decay(trace), "vdot_bound": verify_vdot_bound(trace)}
-        ok = True
-        for name, rep in checks.items():
-            print(f"{name}: {'pass' if rep.passed else 'FAIL'} (worst {rep.worst_value:.6e})")
-            ok = ok and rep.passed
-        return EXIT_OK if ok else EXIT_FAIL
+        return EXIT_FAIL if _print_verdicts((name, law(trace)) for name, law in _LAWS) else EXIT_OK
 
     op = _resolve_operator(args)
     h = parse_target(args.target, op.dim, args.seed)
@@ -163,25 +178,16 @@ def cmd_flow(args) -> int:
     trace_path = Path(args.trace_dir) / f"{op.name}_a{a:g}.csv"
     trace_to_csv(sol.trace, trace_path)
 
-    checks = {
-        "decay": verify_decay(sol.trace),
-        "vdot_bound": verify_vdot_bound(sol.trace),
-        "tail_bound": verify_tail_bound(sol.trace, sol.u_a),
-    }
+    checks = [(name, law(sol.trace)) for name, law in _LAWS]
+    checks.append(("tail_bound", verify_tail_bound(sol.trace, sol.u_a)))
     print(f"terminated_by={sol.trace.terminated_by} t_end={sol.trace.records[-1][0]:.6f} "
           f"residual={sol.residual:.6e}")
     print(f"u_a = {list(map(float, sol.u_a))}")
     print(f"trace written to {trace_path}")
-    ok = sol.converged
-    failed = [] if ok else ["convergence"]
-    for name, rep in checks.items():
-        print(f"{name}: {'pass' if rep.passed else 'FAIL'} (worst {rep.worst_value:.6e})")
-        if not rep.passed:
-            failed.append(name)
-            ok = False
+    failed = ([] if sol.converged else ["convergence"]) + _print_verdicts(checks)
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_solve(args) -> int:
@@ -208,15 +214,13 @@ def cmd_solve(args) -> int:
     if args.oracle:
         try:
             u_ref = oracle_solve(op, h)
-            dist = float(np.linalg.norm(report.final_u - u_ref))
+            dist = norm(report.final_u - u_ref)
             print(f"oracle distance = {dist:.6e}")
             certificates.append(("oracle", dist <= args.tol))
         except OracleFailure as exc:
             print(f"oracle failed: {exc}")
             certificates.append(("oracle", False))
-    for name, passed in certificates:
-        print(f"{name}: {'pass' if passed else 'FAIL'}")
-    failed = [name for name, passed in certificates if not passed]
+    failed = _print_verdicts(certificates)
     if report.failed_stage is not None:
         failed.insert(0, f"stage {report.failed_stage} "
                          f"({report.stages[-1].flow_summary.terminated_by})")

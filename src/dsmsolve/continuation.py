@@ -20,7 +20,7 @@ import numpy as np
 
 from .flow import FlowConfig, integrate_flow, trace_to_csv
 from .gallery import Operator, evaluate
-from .validation import ValidatorReport, sampled_report, unit_directions
+from .validation import ValidatorReport, norm, sampled_report, unit_directions
 
 __all__ = [
     "ContinuationSchedule",
@@ -112,12 +112,12 @@ def uniform_bound_check(op: Operator, h, stages: list[StageResult]) -> Validator
         (F(u_a),u_a)/||u_a|| + a||u_a|| = (h,u_a)/||u_a||   (within 1e-8)
         (F(u_a),u_a)/||u_a|| <= ||h|| + 1e-8
     hold.  Failure of (i) under converged stages is the numerical
-    signature of a non-coercive operator.
+    signature of a non-coercive operator.  Fewer than 2 stages fail.
     """
     if len(stages) < 2:
-        raise ValueError("need at least 2 stages")
+        return _no_verdict(stages)
     h = np.asarray(h, dtype=float)
-    h_norm = float(np.linalg.norm(h))
+    h_norm = norm(h)
     norms = np.array([s.norm_u for s in stages])
     med = float(np.median(norms))
     norm_ratio = float(norms.max() / max(med, 1e-300))
@@ -153,25 +153,32 @@ def minty_diagnostic(op: Operator, u, h, seed: int = 0) -> ValidatorReport:
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    tol = 1e-6 * (1.0 + float(np.linalg.norm(h)))
+    tol = 1e-6 * (1.0 + norm(h))
     rng = np.random.default_rng(seed)
     dirs = unit_directions(rng, _MINTY_DIRS, op.dim)
     probes = [(u - s * eta, eta) for s in _MINTY_STEPS for eta in dirs]
     values = [float(np.dot(h - evaluate(op, p), eta)) for p, eta in probes]
-    r_norm = float(np.linalg.norm(h - evaluate(op, u)))  # r = h - F(u): (r, r)/||r|| == ||r||
+    r_norm = norm(h - evaluate(op, u))  # r = h - F(u): (r, r)/||r|| == ||r||
     # a non-finite tol (an overflowing ||h||) or closing value leaves no finite limit: a fail
     limit = -tol if math.isfinite(r_norm) else math.nan
     return sampled_report(values, limit, probes, at_least=True,
                           evidence={"closing_direction_value": r_norm})
 
 
-def _cauchy_check(stages: list[StageResult], floor: float) -> ValidatorReport:
-    """Successive stage differences must shrink over the last three stages."""
+def _no_verdict(stages: list[StageResult]) -> ValidatorReport:
+    """The failed report of a check that the stages give nothing to measure."""
+    return ValidatorReport(passed=False, samples_checked=len(stages), worst_value=math.inf)
+
+
+def _cauchy_check(stages: list[StageResult], floor: float, aborted: bool) -> ValidatorReport:
+    """Successive stage differences shrink over the last three stages; an aborted sweep fails."""
+    if aborted:
+        return _no_verdict(stages)
     if len(stages) < 3:
         return ValidatorReport(passed=True, samples_checked=len(stages), worst_value=0.0)
     u3, u2, u1 = (s.u_a for s in stages[-3:])
-    d_prev = float(np.linalg.norm(u2 - u3))
-    d_last = float(np.linalg.norm(u1 - u2))
+    d_prev = norm(u2 - u3)
+    d_last = norm(u1 - u2)
     if d_last <= floor:
         return ValidatorReport(passed=True, samples_checked=3, worst_value=d_last)
     ratio = d_last / max(d_prev, 1e-300)
@@ -182,7 +189,7 @@ def verify_solution(op: Operator, u, h, tol: float) -> bool:
     """||F(u) - h|| <= tol."""
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    return float(np.linalg.norm(evaluate(op, u) - h)) <= tol
+    return norm(evaluate(op, u) - h) <= tol
 
 
 def run_continuation(
@@ -221,7 +228,7 @@ def run_continuation(
         summary = FlowSummary(t_end=sol.trace.records[-1][0], steps=len(sol.trace.records) - 1,
                               terminated_by=sol.trace.terminated_by)
         stages.append(StageResult(a=a, u_a=sol.u_a, residual_eq6=sol.residual,
-                                  norm_u=float(np.linalg.norm(sol.u_a)), flow_summary=summary,
+                                  norm_u=norm(sol.u_a), flow_summary=summary,
                                   trace_file=trace_file))
         if not sol.converged:
             failed_stage = i
@@ -229,24 +236,17 @@ def run_continuation(
         v0 = sol.u_a
 
     final_u = stages[-1].u_a
-    final_res = float(np.linalg.norm(evaluate(op, final_u) - h))
-    if len(stages) >= 2:
-        bound = uniform_bound_check(op, h, stages)
-    else:
-        bound = ValidatorReport(passed=False, samples_checked=len(stages), worst_value=float("inf"))
+    bound = uniform_bound_check(op, h, stages)
     minty = minty_diagnostic(op, final_u, h, seed=minty_seed)
-    cauchy = _cauchy_check(stages, floor=10.0 * cfg.residual_tol / sched.a_min)
-    if failed_stage is not None:
-        cauchy = ValidatorReport(
-            passed=False, samples_checked=len(stages), worst_value=float("inf")
-        )
+    cauchy = _cauchy_check(stages, 10.0 * cfg.residual_tol / sched.a_min, failed_stage is not None)
     return SolveReport(
         operator_name=op.name,
         dim=op.dim,
         h=h,
         stages=stages,
         final_u=final_u,
-        final_residual_eq5=final_res,
+        # Minty's closing value ||h - F(u)||, the bits of ||F(u) - h||
+        final_residual_eq5=minty.evidence["closing_direction_value"],
         bound_report=bound,
         minty_report=minty,
         cauchy_report=cauchy,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gallery import NumericalEvaluationError, Operator, evaluate, jacobian
 from .linalg import SingularSystemError, check_a, solve_regularized
-from .validation import ValidatorReport, sampled_report
+from .validation import ValidatorReport, norm, sampled_report
 
 __all__ = [
     "FlowConfig",
@@ -82,28 +82,16 @@ class FlowTrace:
 
 @dataclass(frozen=True)
 class RegularizedSolution:
-    a: float
     u_a: np.ndarray
-    residual: float
-    trace: FlowTrace
+    trace: FlowTrace  # holds a; its last record's g is the residual at u_a
+
+    @property
+    def residual(self) -> float:
+        return self.trace.records[-1][1]
 
     @property
     def converged(self) -> bool:
         return self.trace.terminated_by == "residual_tol_reached"
-
-
-def _norm(x: np.ndarray) -> float:
-    """||x||: np.linalg.norm's sqrt(x . x), bit for bit, where that is finite.
-
-    np.vdot raises no overflow warning; a finite x whose squares overflow is
-    rescaled by max|x| first, as LAPACK dnrm2 does.
-    """
-    norm = math.sqrt(np.vdot(x, x))
-    if norm == math.inf and np.isfinite(x).all():
-        scale = float(np.abs(x).max())
-        y = x / scale
-        norm = scale * math.sqrt(np.vdot(y, y))
-    return norm
 
 
 def residual(op: Operator, a: float, h, v) -> float:
@@ -111,7 +99,7 @@ def residual(op: Operator, a: float, h, v) -> float:
     check_a(a)
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
-    return _norm(evaluate(op, v) + a * v - h)
+    return norm(evaluate(op, v) + a * v - h)
 
 
 def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
@@ -121,11 +109,11 @@ def dsm_rhs(op: Operator, a: float, h, v) -> tuple[np.ndarray, float, float]:
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     r = evaluate(op, v) + a * v - h
-    g = _norm(r)
+    g = norm(r)
     if not math.isfinite(g):
         raise NumericalEvaluationError(f"non-finite residual norm for {op.name} at a={a:g}")
     w = -solve_regularized(jacobian(op, v, dense=False), a, r)
-    wnorm = _norm(w)
+    wnorm = norm(w)
     if not math.isfinite(wnorm):
         raise NumericalEvaluationError(f"non-finite velocity for {op.name} at a={a:g}")
     if wnorm > (g / a) * (1.0 + _VDOT_SLACK) + 1e-300:
@@ -211,7 +199,7 @@ def integrate_flow(
     trace.append(0.0, v, g, vdot_norm, 0.0)
     if stop is not None or g <= cfg.residual_tol:
         trace.terminated_by = stop or "residual_tol_reached"
-        return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
+        return RegularizedSolution(u_a=v, trace=trace)
 
     max_time = math.log(g / cfg.residual_tol) + _HORIZON_MARGIN
     t = 0.0
@@ -241,8 +229,8 @@ def integrate_flow(
             break
 
         # FSAL: the loop ends on stage 7, at the 5th-order solution vi
-        scale = _ODE_REL_TOL * step * max(_norm(vi), 1.0)
-        err = _norm(err_vec) / scale
+        scale = _ODE_REL_TOL * step * max(norm(vi), 1.0)
+        err = norm(err_vec) / scale
         if err <= 1.0:
             t += step
             v, g, k1 = vi, gi, k[6]
@@ -261,7 +249,7 @@ def integrate_flow(
         else:
             step *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
 
-    return RegularizedSolution(a=a, u_a=v, residual=g, trace=trace)
+    return RegularizedSolution(u_a=v, trace=trace)
 
 
 def _ratio(value: float, bound: float) -> float:
@@ -298,7 +286,7 @@ def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
         raise ValueError("trace must carry states (not available after CSV round-trip)")
     u_a = np.asarray(u_a, dtype=float)
     return sampled_report(
-        [_ratio(float(np.linalg.norm(v - u_a)), trace.laws(t)[1])
+        [_ratio(norm(v - u_a), trace.laws(t)[1])
          for (t, *_), v in zip(trace.records, trace.states)],
         1.0 + _TAIL_SLACK,
     )

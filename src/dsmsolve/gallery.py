@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .validation import ValidatorReport, sampled_report, unit_directions
+from .validation import ValidatorReport, norm, sampled_report, unit_directions
 
 Array = np.ndarray
 
@@ -95,7 +95,7 @@ def jacobian(op: Operator, u, *, dense: bool = True) -> Array:
 def _ball_sample(rng: np.random.Generator, dim: int, radius: float) -> Array:
     # uniform in the ball: direction * R * U^(1/dim)
     d = rng.standard_normal(dim)
-    n = np.linalg.norm(d)
+    n = norm(d)
     if n == 0.0:
         return np.zeros(dim)
     return d / n * radius * rng.uniform() ** (1.0 / dim)

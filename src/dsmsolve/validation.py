@@ -1,4 +1,4 @@
-"""Evidence carrier shared by all empirical checks, and the one verdict rule."""
+"""Evidence carrier shared by all empirical checks, the one verdict rule and the one norm."""
 
 from __future__ import annotations
 
@@ -48,6 +48,20 @@ def sampled_report(values: list[float], limit: float, witnesses=None, *, at_leas
     return ValidatorReport(passed=passed, samples_checked=len(values), worst_value=worst,
                            witness=None if passed or not witnesses else witnesses[i],
                            evidence=evidence or {})
+
+
+def norm(x: np.ndarray) -> float:
+    """||x|| of a vector: sqrt(x . x), with numpy's 2-norm's bits wherever that is finite.
+
+    np.vdot raises no overflow warning; a finite x whose squares overflow is
+    rescaled by max|x| first, as LAPACK dnrm2 does.
+    """
+    n = math.sqrt(np.vdot(x, x))
+    if n == math.inf and np.isfinite(x).all():
+        scale = float(np.abs(x).max())
+        y = x / scale
+        n = scale * math.sqrt(np.vdot(y, y))
+    return n
 
 
 def unit_directions(rng: np.random.Generator, n_dirs: int, dim: int) -> np.ndarray:

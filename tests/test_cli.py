@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import dsmsolve
-from dsmsolve import ContinuationSchedule, FlowConfig
-from dsmsolve.cli import main, parse_target
+from dsmsolve import ContinuationSchedule, FlowConfig, ValidatorReport
+from dsmsolve.cli import _print_verdicts, main, parse_target
 from dsmsolve.flow import TRACE_CSV_HEADER
 
 
@@ -347,6 +347,31 @@ def test_overflow_is_named_at_the_residual(capsys):
     err = capsys.readouterr().err
     assert "scalar_cubic" in err
     assert "non-finite matrix entries" not in err
+
+
+def test_residual_whose_squares_overflow_is_printed_finite(tmp_path, capsys):
+    # ||F(u) - h|| = sqrt(5) * 5e199: the stage stops at its horizon, and the run fails
+    report = tmp_path / "rep.json"
+    assert run_cli("solve", "--operator", "identity", "--target", "ones*1e200", "--oracle",
+                   "--report", str(report)) == 1
+    captured = capsys.readouterr()
+    assert "final residual ||F(u)-h|| = 1.118034e+200\n" in captured.out
+    assert "oracle distance = 1.118034e+200\n" in captured.out
+    assert "failed: stage 0 (max_time_reached)" in captured.err
+    doc = json.loads(report.read_text())
+    assert doc["stages"][0]["norm_u"] == pytest.approx(math.sqrt(5) * 5e199, rel=1e-12)
+    assert doc["final_residual_eq5"] == pytest.approx(math.sqrt(5) * 5e199, rel=1e-12)
+
+
+def test_one_printer_gives_every_verdict_line(capsys):
+    report = ValidatorReport(passed=False, samples_checked=1, worst_value=2.5)
+    passing = ValidatorReport(passed=True, samples_checked=1, worst_value=0.5)
+    failed = _print_verdicts([("decay", report), ("tail_bound", passing), ("residual", True),
+                              ("oracle", False)])
+    assert failed == ["decay", "oracle"]
+    assert capsys.readouterr().out == ("decay: FAIL (worst 2.500000e+00)\n"
+                                       "tail_bound: pass (worst 5.000000e-01)\n"
+                                       "residual: pass\noracle: FAIL\n")
 
 
 def test_overflowing_velocity_is_named(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from dsmsolve import (
     uniform_bound_check,
     verify_solution,
 )
+from dsmsolve import validation
 from dsmsolve.continuation import FlowSummary, StageResult
-from dsmsolve.gallery import Operator
+from dsmsolve.gallery import Operator, evaluate
 
 ROOT_AFFINE_SIN = 1.0630731347759914  # 2x + sin x = 3, bisection tol 1e-14
 
@@ -148,13 +150,21 @@ def test_minty_far_from_solution():
 
 
 def test_minty_fails_when_target_norm_overflows():
-    # ||h|| overflows, so the tolerance 1e-6 (1 + ||h||) would be inf and meet anything
+    # ||h|| = 2.6e308 overflows, so the tolerance 1e-6 (1 + ||h||) would be inf and meet anything
     op = make_operator("identity", 3)
     with np.errstate(over="ignore"):
-        rep = minty_diagnostic(op, np.zeros(3), np.full(3, 1e200))
+        rep = minty_diagnostic(op, np.zeros(3), np.full(3, 1.5e308))
+    assert not rep.passed
+    assert rep.evidence["closing_direction_value"] == math.inf
+
+
+def test_minty_measures_a_target_whose_squares_overflow():
+    """||h|| = 1.73e200 is finite although its squares are not: the check fails on its probes."""
+    op = make_operator("identity", 3)
+    rep = minty_diagnostic(op, np.zeros(3), np.full(3, 1e200))
     assert not rep.passed
     assert rep.worst_value < -1e199
-    assert rep.evidence["closing_direction_value"] == math.inf
+    assert rep.evidence["closing_direction_value"] == pytest.approx(math.sqrt(3) * 1e200, rel=1e-15)
 
 
 def test_minty_fails_when_F_is_nan_off_the_point():
@@ -216,6 +226,48 @@ def test_monotone_bound_violation_gives_partial_report():
     assert not rep.bound_report.passed
     assert not rep.minty_report.passed
     assert not rep.cauchy_report.passed
+
+
+def test_fewer_than_two_stages_fail_the_uniform_bound():
+    op = make_operator("identity", 1)
+    h = np.array([4.0])
+    summary = FlowSummary(t_end=0.0, steps=0, terminated_by="residual_tol_reached")
+    for stages in ([], [StageResult(a=1.0, u_a=h / 2, residual_eq6=0.0, norm_u=2.0,
+                                    flow_summary=summary)]):
+        rep = uniform_bound_check(op, h, stages)
+        assert not rep.passed
+        assert rep.worst_value == math.inf
+        assert rep.samples_checked == len(stages)
+
+
+def test_uniform_bound_measures_stage_norms_of_1e200():
+    """F(u) = 1e-200 u and h = (1, 1) give the bounded stages u_a = h/(1e-200 + a), of norm
+    about 1.4e200: their squares overflow, their norms do not."""
+    c = 1e-200
+    op = Operator(name="tiny_identity", dim=2, fn=lambda u: c * u, jac=lambda u: np.full(2, c))
+    h = np.ones(2)
+    summary = FlowSummary(t_end=0.0, steps=0, terminated_by="residual_tol_reached")
+    us = {a: h / (c + a) for a in (1e-201, 1e-202, 1e-203)}
+    stages = [StageResult(a=a, u_a=u, residual_eq6=0.0, norm_u=validation.norm(u),
+                          flow_summary=summary) for a, u in us.items()]
+    rep = uniform_bound_check(op, h, stages)
+    assert rep.passed
+    assert rep.evidence["max_norm"] == pytest.approx(math.sqrt(2) / (c + 1e-203), rel=1e-15)
+    # numpy's norm of the same stages is inf, and inf / inf would fail the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        inf_stages = [replace(s, norm_u=float(np.linalg.norm(s.u_a))) for s in stages]
+        assert not uniform_bound_check(op, h, inf_stages).passed
+
+
+def test_final_residual_is_the_closing_value():
+    """The report takes ||F(u) - h|| from Minty's ||h - F(u)||: the same bits, one F call."""
+    for name, dim, h in (("convex_gradient", 3, [2.0, -1.0, 0.5]), ("skew_plus_cubic", 4, [1.0] * 4),
+                         ("scalar_negation", 1, [1.0])):
+        op = make_operator(name, dim)
+        rep = run_continuation(op, h, ContinuationSchedule(), FlowConfig())
+        direct = validation.norm(evaluate(op, rep.final_u) - np.asarray(h))
+        assert rep.final_residual_eq5.hex() == direct.hex(), name
+        assert rep.minty_report.evidence["closing_direction_value"] == rep.final_residual_eq5
 
 
 def test_verify_solution():
