@@ -144,7 +144,7 @@ _DP_E = np.array((35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 /
                   -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40))
 
 _ODE_REL_TOL = 1e-8  # local error per unit time, relative to max(||v||, 1)
-_HORIZON_MARGIN = 5.0  # the flow stops at t = ln(g0/residual_tol) + this margin
+_HORIZON_MARGIN = 5.0  # the flow stops at t = ln(g0) - ln(residual_tol) + this margin
 _INITIAL_STEP = 1e-2
 _MIN_STEP = 1e-12
 _SAFETY = 0.9
@@ -188,11 +188,10 @@ def integrate_flow(
     """
     h_vec = np.asarray(h, dtype=float)
     v = np.asarray(v0, dtype=float).copy()
-    rhs = lambda x: dsm_rhs(op, a, h_vec, x)
 
     stop = None
     try:
-        k1, g, vdot_norm = rhs(v)
+        k1, g, vdot_norm = dsm_rhs(op, a, h_vec, v)
     except _STAGE_STOPS as exc:  # no g from the rhs: the one residual() call
         stop, g, vdot_norm = _stop_reason(exc), residual(op, a, h_vec, v), math.nan
     trace = FlowTrace(a=a, g0=g)
@@ -201,7 +200,8 @@ def integrate_flow(
         trace.terminated_by = stop or "residual_tol_reached"
         return RegularizedSolution(u_a=v, trace=trace)
 
-    max_time = math.log(g / cfg.residual_tol) + _HORIZON_MARGIN
+    # a difference of logs, as g / residual_tol overflows for g > ~1.8e298 at 1e-10
+    max_time = math.log(g) - math.log(cfg.residual_tol) + _HORIZON_MARGIN
     t = 0.0
     step = _INITIAL_STEP
     err_prev = 1.0
@@ -222,7 +222,7 @@ def integrate_flow(
             k[0] = k1
             for i in range(1, 7):
                 vi = v + step * (_DP_A[i] @ k[:i])
-                k[i], gi, vdot_norm = rhs(vi)
+                k[i], gi, vdot_norm = dsm_rhs(op, a, h_vec, vi)
             err_vec = step * (_DP_E @ k)
         except _STAGE_STOPS as exc:
             trace.terminated_by = _stop_reason(exc)

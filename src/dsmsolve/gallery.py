@@ -122,16 +122,14 @@ def check_coercive(op: Operator, directions_seed: int) -> ValidatorReport:
     axes = np.vstack([np.eye(op.dim), -np.eye(op.dim)])
     dirs = np.vstack([axes, unit_directions(rng, _COERCIVE_DIRS, op.dim)])
     q_min = []
-    argmin_dir = []
     for r in _COERCIVE_RADII:
         qs = np.array([float(np.dot(r * d, evaluate(op, r * d))) / r for d in dirs])
         k = int(np.argmin(qs))
         q_min.append(float(qs[k]))
-        argmin_dir.append(dirs[k])
     increasing = all(b > a for a, b in zip(q_min, q_min[1:]))
     doubled = q_min[-1] >= 2.0 * q_min[0]
     passed = increasing and doubled
-    u_worst = _COERCIVE_RADII[-1] * argmin_dir[-1]
+    u_worst = _COERCIVE_RADII[-1] * dirs[k]  # the minimizer at the largest radius
     return ValidatorReport(
         passed=passed,
         samples_checked=len(_COERCIVE_RADII) * len(dirs),
@@ -145,20 +143,11 @@ def check_coercive(op: Operator, directions_seed: int) -> ValidatorReport:
 # Gallery members
 
 
-def _tridiag_matrix(n: int) -> Array:
-    M = 2.0 * np.eye(n)
+def _tridiag(n: int, lower: float, diag: float, upper: float) -> Array:
+    M = diag * np.eye(n)
     idx = np.arange(n - 1)
-    M[idx, idx + 1] = -1.0
-    M[idx + 1, idx] = -1.0
+    M[idx + 1, idx], M[idx, idx + 1] = lower, upper
     return M
-
-
-def _skew_matrix(n: int) -> Array:
-    S = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    S[idx, idx + 1] = 1.0
-    S[idx + 1, idx] = -1.0
-    return S
 
 
 def _scalar_cubic() -> Operator:
@@ -199,7 +188,7 @@ def _identity(n: int) -> Operator:
 
 
 def _spd_tridiag(n: int) -> Operator:
-    M = _tridiag_matrix(n)
+    M = _tridiag(n, -1.0, 2.0, -1.0)
     return Operator(
         name="spd_tridiag",
         dim=n,
@@ -224,9 +213,7 @@ def _convex_gradient(n: int) -> Operator:
 
 
 def _skew_plus_cubic(n: int) -> Operator:
-    M = _tridiag_matrix(n)
-    S = _skew_matrix(n)
-    A = M + S
+    A = _tridiag(n, -1.0, 2.0, -1.0) + _tridiag(n, -1.0, 0.0, 1.0)  # SPD plus skew
     return Operator(
         name="skew_plus_cubic",
         dim=n,
@@ -239,10 +226,9 @@ def _skew_plus_cubic(n: int) -> Operator:
 
 
 def _rank_one_projector(n: int) -> Operator:
-    # e = first basis vector: monotone but flat on e-perp, so non-coercive
-    e = np.zeros(n)
-    e[0] = 1.0
-    P = np.outer(e, e)
+    # P = e e^T, e the first basis vector: monotone but flat on e-perp, so non-coercive
+    P = np.zeros((n, n))
+    P[0, 0] = 1.0
     return Operator(
         name="rank_one_projector",
         dim=n,

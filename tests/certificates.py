@@ -2,14 +2,19 @@
 
 ``inv_norm_bound_check`` probes the resolvent bound ||(A+aI)^-1|| <= 1/a that
 monotonicity buys; ``check_uniqueness`` flows from several starts and checks
-that the limits agree; ``fd_jacobian`` is the central-difference reference
-for the gallery's analytic Jacobians.  None is part of the solve pipeline.
+that the limits agree; both score through ``sampled_report``.  ``fd_jacobian``
+is the central-difference reference for the gallery's analytic Jacobians.
+None is part of the solve pipeline.
 """
+
+import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 
 from dsmsolve import ValidatorReport, evaluate, integrate_flow, solve_regularized
-from dsmsolve.validation import unit_directions
+from dsmsolve.validation import sampled_report, unit_directions
 
 
 def fd_jacobian(op, u):
@@ -26,24 +31,11 @@ def fd_jacobian(op, u):
 
 
 def inv_norm_bound_check(A, a: float, n_probes: int, seed: int) -> ValidatorReport:
-    """Probe ||(A+aI)^-1 w|| <= 1/a on seeded unit vectors w."""
+    """Probe ||(A+aI)^-1 w|| <= 1/a, as a*||x|| <= 1 + 1e-10*a, on seeded unit vectors w."""
     A = np.asarray(A, dtype=float)
     probes = unit_directions(np.random.default_rng(seed), n_probes, A.shape[0])
-    worst = -np.inf
-    witness = None
-    for w in probes:
-        x = solve_regularized(A, a, w)
-        xnorm = float(np.linalg.norm(x))
-        if a * xnorm > worst:
-            worst = a * xnorm
-            witness = (w, x)
-    passed = worst / a <= 1.0 / a + 1e-10
-    return ValidatorReport(
-        passed=passed,
-        samples_checked=n_probes,
-        worst_value=worst,
-        witness=None if passed else witness,
-    )
+    pairs = [(w, solve_regularized(A, a, w)) for w in probes]
+    return sampled_report([a * float(np.linalg.norm(x)) for _, x in pairs], 1.0 + 1e-10 * a, pairs)
 
 
 def check_uniqueness(op, a: float, h, starts, cfg) -> ValidatorReport:
@@ -54,26 +46,10 @@ def check_uniqueness(op, a: float, h, starts, cfg) -> ValidatorReport:
     for v0 in starts:
         sol = integrate_flow(op, a, h, v0, cfg)
         if not sol.converged:
-            return ValidatorReport(
-                passed=False,
-                samples_checked=len(sols),
-                worst_value=float("inf"),
-                witness=(np.asarray(v0, dtype=float), sol.u_a),
-                evidence={},
-            )
+            return ValidatorReport(passed=False, samples_checked=len(sols), worst_value=math.inf,
+                                   witness=(np.asarray(v0, dtype=float), sol.u_a))
         sols.append(sol.u_a)
-    worst = 0.0
-    pair = (sols[0], sols[1])
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            d = float(np.linalg.norm(sols[i] - sols[j]))
-            if d > worst:
-                worst = d
-                pair = (sols[i], sols[j])
-    tol = 10.0 * cfg.residual_tol / a
-    return ValidatorReport(
-        passed=worst <= tol,
-        samples_checked=len(starts),
-        worst_value=worst,
-        witness=None if worst <= tol else pair,
-    )
+    pairs = list(itertools.combinations(sols, 2))
+    report = sampled_report([float(np.linalg.norm(u - v)) for u, v in pairs],
+                            10.0 * cfg.residual_tol / a, pairs)
+    return replace(report, samples_checked=len(starts))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dsmsolve import FlowConfig, make_gallery, make_operator
+from dsmsolve import make_gallery
 
 # every run draws the same examples (derandomize also turns off the example
 # database) and no example has a deadline, so tier-1's verdict depends neither
@@ -40,11 +40,6 @@ STRICT_NAMES = (
 @pytest.fixture(scope="session")
 def gallery5():
     return make_gallery(5)
-
-
-@pytest.fixture(scope="session")
-def flow_cfg():
-    return FlowConfig()
 
 
 def seeded_points(seed, n, dim, radius=5.0):

@@ -38,6 +38,12 @@ def test_parse_target_forms():
 
     assert np.linalg.norm(h) <= 5.0 + 1e-12
     assert (h == parse_target("seeded_random:7:5", 4, 1)).all()
+    # a draw longer than NORM_CAP is rescaled to norm NORM_CAP
+    raw = parse_target("seeded_random:1:1e9", 5, 1)
+    h = parse_target("seeded_random:1:0.5", 5, 1)
+    assert np.linalg.norm(raw) > 0.5
+    assert h.tobytes() == (raw * (0.5 / np.linalg.norm(raw))).tobytes()
+    assert np.linalg.norm(h) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_parse_target_rejects_bad_dim():
@@ -452,6 +458,37 @@ def test_replay_rejects_nan_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "decay: FAIL (worst nan)" in out
     assert "vdot_bound: FAIL (worst nan)" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,g\n0,1\n", "unexpected trace header"),
+    (f"{TRACE_CSV_HEADER}\n0,1,1,1\n", "malformed trace row"),
+    (f"{TRACE_CSV_HEADER}\n", "empty trace file"),
+])
+def test_replay_rejects_a_malformed_file(text, message, tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    assert run_cli("flow", "--a", "1", "--replay", str(path)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_replay_skips_blank_lines(tmp_path, capsys):
+    path = _genuine_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:3], "", *lines[3:]]) + "\n")
+    assert run_cli("flow", "--a", "0.5", "--replay", str(path)) == 0
+
+
+def test_flow_requires_a(tmp_path, capsys):
+    assert run_cli("flow", "--operator", "identity", "--trace-dir", str(tmp_path)) == 2
+    assert "flow requires --a" in capsys.readouterr().err
+
+
+def test_oracle_failure_is_a_failed_certificate(capsys):
+    assert run_cli("solve", "--operator", "rank_one_projector", "--oracle") == 1
+    captured = capsys.readouterr()
+    assert "oracle failed: singular Jacobian for rank_one_projector\n" in captured.out
+    assert "oracle: FAIL\n" in captured.out
 
 
 def test_unknown_target_is_usage_error(capsys):

@@ -206,6 +206,25 @@ def test_uniform_bound_fails_on_nan_operator():
     assert rep.samples_checked == 4
 
 
+def test_zero_target_skips_every_stage_identity():
+    # h = 0 is solved by u = 0 at every a, so no stage norm exceeds 1e-8
+    rep = run_continuation(make_operator("identity", 3), np.zeros(3), ContinuationSchedule(),
+                           FlowConfig())
+    assert [s.norm_u for s in rep.stages] == [0.0] * 7
+    assert rep.bound_report.passed
+    assert rep.bound_report.samples_checked == 7
+    assert rep.bound_report.worst_value == 0.0
+
+
+def test_two_stages_pass_cauchy():
+    # fewer than 3 stages give no pair of differences to compare
+    rep = run_continuation(make_operator("convex_gradient", 5), np.ones(5),
+                           ContinuationSchedule(a_min=0.1), FlowConfig())
+    assert len(rep.stages) == 2
+    assert rep.cauchy_report.passed
+    assert rep.cauchy_report.samples_checked == 2
+
+
 def test_minty_on_computed_solution():
     op = make_operator("convex_gradient", 3)
     rep = run_continuation(op, [2.0, 2.0, 2.0], ContinuationSchedule(), FlowConfig())

@@ -267,6 +267,7 @@ def test_check_uniqueness_scalar_cubic():
     op = make_operator("scalar_cubic")
     rep = check_uniqueness(op, 0.5, [8.0], [[0.0], [5.0], [-5.0]], FlowConfig())
     assert rep.passed
+    assert rep.worst_value <= 10.0 * 1e-10 / 0.5
     sol = integrate_flow(op, 0.5, [8.0], [0.0], FlowConfig())
     assert sol.u_a == pytest.approx([ROOT_CUBIC_A05], abs=1e-8)
 
@@ -275,6 +276,7 @@ def test_check_uniqueness_identity_far_start():
     op = make_operator("identity", 1)
     rep = check_uniqueness(op, 1.0, [4.0], [[0.0], [100.0]], FlowConfig())
     assert rep.passed
+    assert rep.samples_checked == 2  # the starts, not the one pair of limits
 
 
 def test_check_uniqueness_rank_one():
@@ -292,6 +294,39 @@ def test_max_time_cap(monkeypatch):
     sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig())
     assert sol.trace.terminated_by == "max_time_reached"
     assert sol.trace.records[-1][0] == pytest.approx(math.log(4.0 / 1e-10) - 10.0, abs=1e-12)
+
+
+def test_horizon_of_an_overflowing_ratio_is_finite(monkeypatch):
+    # g0 = sqrt(3)e300: g0 / residual_tol overflows, but the horizon is a difference of logs
+    calls = []
+
+    def counted(*args):  # a flow without a horizon would run on and grow without end
+        calls.append(1)
+        assert len(calls) <= 60_000, "the flow ran past its horizon"
+        return dsm_rhs(*args)
+
+    monkeypatch.setattr(flow, "dsm_rhs", counted)
+    op = make_operator("identity", 3)
+    sol = integrate_flow(op, 1.0, np.full(3, 1e300), np.zeros(3), FlowConfig())
+    assert sol.trace.terminated_by == "max_time_reached"
+    horizon = math.log(sol.trace.g0) - math.log(1e-10) + 5.0
+    assert sol.trace.records[-1][0] == pytest.approx(horizon, abs=1e-12)
+
+
+def test_step_underflow_ends_the_flow():
+    # at a = 1e-6 the error estimate rejects each try at the first step until it is below _MIN_STEP
+    sol = integrate_flow(make_operator("scalar_cubic"), 1e-6, [8.0], [0.0], FlowConfig())
+    assert sol.trace.terminated_by == "step_underflow"
+    assert [rec[0] for rec in sol.trace.records] == [0.0]
+
+
+def test_bound_violation_inside_a_step_ends_the_flow():
+    # F(u) = -u^3 has F'(0) = 0, so the start point meets ||v'|| <= g/a; a later stage
+    # of the first step, where F'(u) + a = 1 - 3u^2 is small, violates it
+    op = Operator(name="negative_cubic", dim=1, fn=lambda u: -u**3, jac=lambda u: -3.0 * u**2)
+    sol = integrate_flow(op, 1.0, [1.0], [0.0], FlowConfig())
+    assert sol.trace.terminated_by == "monotone_bound_violated"
+    assert sol.trace.records == [(0.0, 1.0, 1.0, 1.0, 1.0, 0.0)]
 
 
 def _decay_step_cap(rel_tol: float) -> float:

@@ -127,9 +127,9 @@ def test_check_monotone_skew_plus_cubic():
     rep = check_monotone(op, 42)
     assert rep.passed
     # the skew part contributes nothing to the pairing
-    from dsmsolve.gallery import _skew_matrix
+    from dsmsolve.gallery import _tridiag
 
-    S = _skew_matrix(5)
+    S = _tridiag(5, -1.0, 0.0, 1.0)
     rng = np.random.default_rng(42)
     for _ in range(20):
         d = rng.standard_normal(5)

@@ -140,8 +140,11 @@ def test_inv_norm_bound_violated_for_negative_definite():
     a = 0.5
     rep = inv_norm_bound_check(-0.9 * a * np.eye(2), a, 5, 0)
     assert not rep.passed
+    assert rep.samples_checked == 5
     assert rep.worst_value == pytest.approx(10.0)
-    assert rep.witness is not None
+    w, x = rep.witness  # the probe and its solve, which sets the worst value
+    assert a * np.linalg.norm(x) == rep.worst_value
+    np.testing.assert_allclose(0.1 * a * x, w, rtol=1e-12)
 
 
 @pytest.fixture
@@ -215,9 +218,8 @@ def test_mutating_the_matrix_changes_the_answer(getrf_calls):
     assert len(getrf_calls) == 2
 
 
-def _continuation(name, dim):
-    op = make_operator(name, dim)
-    h = np.random.default_rng(dim).standard_normal(dim)
+def _continuation(op, seed):
+    h = np.random.default_rng(seed).standard_normal(op.dim)
     return run_continuation(op, h, ContinuationSchedule(), FlowConfig())
 
 
@@ -235,10 +237,10 @@ def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
         linalg._last_factor = None
         return solve(*args)
 
-    rep = _continuation(name, dim)
+    rep = _continuation(make_operator(name, dim), dim)
     factored = len(getrf_calls)
     monkeypatch.setattr(flow, "solve_regularized", fresh)
-    fresh_rep = _continuation(name, dim)
+    fresh_rep = _continuation(make_operator(name, dim), dim)
     assert rep.to_json() == fresh_rep.to_json()
     assert rep.final_u.tobytes() == fresh_rep.final_u.tobytes()
     assert len(getrf_calls) - factored == len(solves)
@@ -248,18 +250,13 @@ def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
         assert factored == len(solves)
 
 
-def _continuation_n20(op):
-    h = np.random.default_rng(20).standard_normal(op.dim)
-    return run_continuation(op, h, ContinuationSchedule(), FlowConfig())
-
-
 @pytest.mark.parametrize("name, factorizations", [
     ("convex_gradient", 0), ("identity", 0), ("scalar_cubic", 0),
     ("skew_plus_cubic", 7099), ("spd_tridiag", 7),
 ])
 def test_factorizations_at_dim_20(getrf_calls, name, factorizations):
     """A diagonal Jacobian is never factored; a dense one as often as ever."""
-    _continuation_n20(make_operator(name, 20))
+    _continuation(make_operator(name, 20), 20)
     assert len(getrf_calls) == factorizations
 
 
@@ -270,9 +267,9 @@ def test_diagonal_jacobian_gives_the_dense_report(getrf_calls, name, factorizati
     """The same operator with its Jacobian expanded to n x n factors at every
     changed system, and its report has the same bytes."""
     op = make_operator(name, 20)
-    rep = _continuation_n20(op)
+    rep = _continuation(op, 20)
     assert not getrf_calls
-    dense_rep = _continuation_n20(dataclasses.replace(op, jac=lambda u: jacobian(op, u)))
+    dense_rep = _continuation(dataclasses.replace(op, jac=lambda u: jacobian(op, u)), 20)
     assert len(getrf_calls) == factorizations
     assert rep.to_json() == dense_rep.to_json()
 

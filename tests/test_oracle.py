@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsmsolve import Operator, bisection_1d, damped_newton, make_operator, oracle_solve
-from dsmsolve.gallery import _tridiag_matrix
+from dsmsolve.gallery import _tridiag
 from dsmsolve.oracle import OracleFailure
 
 
@@ -22,7 +22,7 @@ def test_newton_stall_at_rounding_level_returns():
     if norm > 10.0:
         h *= 10.0 / norm
     x = oracle_solve(make_operator("spd_tridiag", 200), h)
-    assert np.linalg.norm(x - np.linalg.solve(_tridiag_matrix(200), h)) <= 1e-9
+    assert np.linalg.norm(x - np.linalg.solve(_tridiag(200, -1.0, 2.0, -1.0), h)) <= 1e-9
 
 
 def test_newton_multidim():
