@@ -94,8 +94,9 @@ def _check_hypotheses(op, seed: int):
     return mono, coer
 
 
-# the laws a flow trace is audited against, with or without its states
-_LAWS = (("decay", verify_decay), ("vdot_bound", verify_vdot_bound))
+def _law_checks(trace) -> list:
+    """(name, verdict) of each law a flow trace is audited against, with or without its states."""
+    return [("decay", verify_decay(trace)), ("vdot_bound", verify_vdot_bound(trace))]
 
 
 def _print_verdicts(checks) -> list[str]:
@@ -168,7 +169,7 @@ def cmd_flow(args) -> int:
 
     if args.replay is not None:
         trace = trace_from_csv(args.replay, a)
-        return EXIT_FAIL if _print_verdicts((name, law(trace)) for name, law in _LAWS) else EXIT_OK
+        return EXIT_FAIL if _print_verdicts(_law_checks(trace)) else EXIT_OK
 
     op = _resolve_operator(args)
     h = parse_target(args.target, op.dim, args.seed)
@@ -178,7 +179,7 @@ def cmd_flow(args) -> int:
     trace_path = Path(args.trace_dir) / f"{op.name}_a{a:g}.csv"
     trace_to_csv(sol.trace, trace_path)
 
-    checks = [(name, law(sol.trace)) for name, law in _LAWS]
+    checks = _law_checks(sol.trace)
     checks.append(("tail_bound", verify_tail_bound(sol.trace, sol.u_a)))
     print(f"terminated_by={sol.trace.terminated_by} t_end={sol.trace.records[-1][0]:.6f} "
           f"residual={sol.residual:.6e}")

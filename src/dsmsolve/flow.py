@@ -60,10 +60,10 @@ class FlowConfig:
 class FlowTrace:
     a: float
     g0: float
-    # rows (t, g, g_theory, vdot_norm, vdot_bound, step_size), one per accepted step
-    # (the verifiers recompute g_theory and vdot_bound from t, g0 and a, so a replayed
-    # file cannot vouch for itself)
-    records: list[tuple[float, float, float, float, float, float]] = field(default_factory=list)
+    # rows (t, g, vdot_norm, step_size), one per accepted step: what the flow measured.
+    # The laws g_theory and vdot_bound are recomputed from t, g0 and a by laws(t), so a
+    # replayed file cannot vouch for itself.
+    records: list[tuple[float, float, float, float]] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)  # v(t) per record, not serialized
     terminated_by: str = "max_time_reached"
 
@@ -75,8 +75,7 @@ class FlowTrace:
         return self.g0 * math.exp(-t), self.g0 / self.a * math.exp(-t)
 
     def append(self, t: float, v: np.ndarray, g: float, vdot_norm: float, step: float):
-        g_theory, vdot_bound = self.laws(t)
-        self.records.append((t, g, g_theory, vdot_norm, vdot_bound, step))
+        self.records.append((t, g, vdot_norm, step))
         self.states.append(v.copy())
 
 
@@ -275,7 +274,7 @@ def verify_vdot_bound(trace: FlowTrace) -> ValidatorReport:
     if not trace.records:
         raise ValueError("empty trace")
     return sampled_report(
-        [_ratio(vdot_norm, trace.laws(t)[1]) for t, _, _, vdot_norm, *_ in trace.records],
+        [_ratio(vdot_norm, trace.laws(t)[1]) for t, _, vdot_norm, _ in trace.records],
         1.0 + _VDOT_SLACK,
     )
 
@@ -294,14 +293,15 @@ def verify_tail_bound(trace: FlowTrace, u_a) -> ValidatorReport:
 
 def trace_to_csv(trace: FlowTrace, path) -> None:
     lines = [TRACE_CSV_HEADER]
-    for rec in trace.records:
-        lines.append(",".join(f"{x:.17g}" for x in rec))
+    for t, g, vdot_norm, step in trace.records:
+        g_theory, vdot_bound = trace.laws(t)
+        lines.append(",".join(f"{x:.17g}" for x in (t, g, g_theory, vdot_norm, vdot_bound, step)))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def trace_from_csv(path, a: float) -> FlowTrace:
-    """Rebuild a trace (without states) from its CSV serialization."""
+    """Rebuild a trace (without states or laws) from its CSV serialization."""
     with open(path) as f:
         header = f.readline().strip()
         if header != TRACE_CSV_HEADER:
@@ -314,7 +314,8 @@ def trace_from_csv(path, a: float) -> FlowTrace:
             vals = tuple(float(x) for x in line.split(","))
             if len(vals) != len(TRACE_CSV_HEADER.split(",")):
                 raise ValueError(f"malformed trace row {line!r}")
-            records.append(vals)
+            t, g, _, vdot_norm, _, step = vals
+            records.append((t, g, vdot_norm, step))
     if not records:
         raise ValueError("empty trace file")
     return FlowTrace(a=a, g0=records[0][1], records=records, states=[])

@@ -9,14 +9,12 @@ F'(u), and the system is solved as rhs / (A + a): where no quotient
 overflows, that is what getrs returns for the diagonal matrix, bit for bit.
 Both forms raise the same errors with the same pivot, and the tiny-pivot
 check (SingularSystemError) also covers an exactly zero pivot (getrf info >
-0).  An unchanged system reuses its last successful preparation, keyed on a,
-the form and the exact bytes of A, so a linear operator, whose Jacobian is
-constant, factors once per value of a.
+0).  A diagonal is divided on every call.  An unchanged matrix reuses its
+last successful factorization, keyed on a and the exact bytes of A, so a
+linear operator, whose Jacobian is constant, factors once per value of a.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -44,17 +42,8 @@ def check_a(a: float) -> None:
         raise ValueError("regularization parameter a must be positive and finite")
 
 
-@functools.lru_cache(maxsize=8)
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False  # shared by every dense miss at this n
-    return eye
-
-
-# ((a, A.ndim, A bytes), lu, piv) of the last factorization that passed its
-# checks, or ((a, 1, A bytes), A + a, min|A + a| >= 1) of the last diagonal.
-# The system is a function of the key's bits (the form is in the key because
-# a (1,) and a (1, 1) array have the same bytes), so a hit returns what a miss
+# ((a, A bytes), lu, piv) of the last factorization that passed its checks.
+# The system is a function of the key's bits, so a hit returns what a miss
 # would compute and the checks, which read only those bits, still hold; and a
 # hit does not form A + aI.  A failing system is never stored, so it raises
 # on every call.
@@ -71,26 +60,27 @@ def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
     if A.shape != (n, n) and A.shape != (n,):
         raise ValueError(f"matrix shape {A.shape} incompatible with rhs dim {n}")
     check_a(a)
-    key = (a, A.ndim, A.tobytes())
-    memo = _last_factor  # one read, so the key and the factors belong together
     if A.ndim == 1:
-        if memo is None or memo[0] != key:
-            # getrf on diag(A) + aI pivots on A + a, with no row swap
-            da = A + a
-            if not np.isfinite(da).all():
-                raise NumericalEvaluationError("non-finite matrix entries")
-            mag = np.abs(da)
-            pivot = float(mag.min())
-            if pivot <= _EPS * max(1.0, float(mag.max())) * n:
-                raise SingularSystemError(pivot)
-            da.flags.writeable = False  # shared by every hit
-            memo = _last_factor = (key, da, pivot >= 1.0)
-        if memo[2]:  # |rhs / (A + a)| <= |rhs|: no quotient can overflow
-            return rhs / memo[1]
+        # getrf on diag(A) + aI pivots on A + a, with no row swap
+        da = A + a
+        if not np.isfinite(da).all():
+            raise NumericalEvaluationError("non-finite matrix entries")
+        mag = np.abs(da)
+        pivot = float(mag.min())
+        if pivot <= _EPS * max(1.0, float(mag.max())) * n:
+            raise SingularSystemError(pivot)
+        if pivot >= 1.0:  # |rhs / (A + a)| <= |rhs|: no quotient can overflow
+            return rhs / da
         with np.errstate(over="ignore"):  # getrs, too, overflows to inf silently
-            return rhs / memo[1]
+            return rhs / da
+    key = (a, A.tobytes())
+    memo = _last_factor  # one read, so the key and the factors belong together
     if memo is None or memo[0] != key:
-        Aa = A + a * _eye(n)
+        # A + a * eye(n) bit for bit: + 0.0 turns an off-diagonal -0.0 into
+        # +0.0, as a * 0.0 does.  C order makes ravel() a view of Aa whatever
+        # the layout of A, so the shift lands in Aa.
+        Aa = np.add(A, 0.0, order="C")
+        Aa.ravel()[:: n + 1] += a
         if not np.isfinite(Aa).all():
             raise NumericalEvaluationError("non-finite matrix entries")
         tiny = _EPS * max(1.0, float(np.abs(Aa).max())) * n

@@ -98,7 +98,7 @@ def test_records_are_one_fresh_evaluation_of_their_state(dim):
         for a in (1.0, 0.3, 1e-3):
             h = 3.0 * rng.standard_normal(op.dim)
             sol = integrate_flow(op, a, h, np.zeros(op.dim), FlowConfig())
-            for (t, g, _, vdot_norm, *_), v in zip(sol.trace.records, sol.trace.states):
+            for (t, g, vdot_norm, _), v in zip(sol.trace.records, sol.trace.states):
                 assert g.hex() == residual(op, a, h, v).hex(), (name, a, t)
                 if math.isnan(vdot_norm):  # the stage stopped at its first evaluation
                     assert t == 0.0
@@ -145,17 +145,26 @@ def test_stopping_time_matches_decay_law():
     assert abs(t_end - math.log(sol.trace.g0 / cfg.residual_tol)) <= 0.1
 
 
-def test_trace_structure():
+def test_trace_structure(tmp_path):
     op = make_operator("identity", 2)
     sol = integrate_flow(op, 1.0, [4.0, 2.0], [0.0, 0.0], FlowConfig())
     ts = [r[0] for r in sol.trace.records]
     assert ts[0] == 0.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert sol.trace.records[0][1] == sol.trace.g0
-    # g_theory and vdot_bound recomputable from g0, a, t
-    for t, _, g_theory, _, vdot_bound, _ in sol.trace.records:
+    assert {len(r) for r in sol.trace.records} == {4}  # (t, g, vdot_norm, step): no laws
+    # the written law columns are laws(t), bit for bit, and near g0 e^-t and (g0/a) e^-t
+    p = tmp_path / "trace.csv"
+    trace_to_csv(sol.trace, p)
+    rows = [[float(x) for x in line.split(",")] for line in p.read_text().splitlines()[1:]]
+    assert len(rows) == len(sol.trace.records)
+    for (t, g, g_theory, vdot_norm, vdot_bound, step), rec in zip(rows, sol.trace.records):
+        assert (t, g, vdot_norm, step) == rec
+        assert (g_theory.hex(), vdot_bound.hex()) == tuple(x.hex() for x in sol.trace.laws(t))
         assert g_theory == pytest.approx(sol.trace.g0 * math.exp(-t), rel=1e-15)
         assert vdot_bound == pytest.approx(sol.trace.g0 * math.exp(-t) / sol.trace.a, rel=1e-15)
+    # a replayed trace keeps the measured columns only
+    assert trace_from_csv(p, 1.0).records == sol.trace.records
 
 
 def test_record_at_t_equal_one():
@@ -176,7 +185,7 @@ def test_verify_decay_rejects_forged_trace():
     # constant g over [0, 1] cannot be a flow trace
     trace = FlowTrace(a=1.0, g0=1.0)
     for t in (0.0, 0.5, 1.0):
-        trace.records.append((t, 1.0, math.exp(-t), 0.0, math.exp(-t), 0.5))
+        trace.records.append((t, 1.0, 0.0, 0.5))
     rep = verify_decay(trace)
     assert not rep.passed
     assert rep.worst_value == pytest.approx((1 - math.exp(-1)) / (100 * 1e-8 * 1.0))
@@ -185,8 +194,8 @@ def test_verify_decay_rejects_forged_trace():
 def test_verifiers_reject_non_finite_values():
     op = make_operator("identity", 1)
     sol = integrate_flow(op, 1.0, [4.0], [0.0], FlowConfig())
-    t, g, g_theory, _, vdot_bound, step = sol.trace.records[-1]
-    sol.trace.records[-1] = (t, g, g_theory, -math.inf, vdot_bound, step)
+    t, g, _, step = sol.trace.records[-1]
+    sol.trace.records[-1] = (t, g, -math.inf, step)
     assert not verify_vdot_bound(sol.trace).passed
     sol.trace.states[-1] = np.array([math.nan])
     assert not verify_tail_bound(sol.trace, sol.u_a).passed
@@ -202,7 +211,7 @@ def test_verify_vdot_passes_on_real_trace():
 
 def test_verify_vdot_rejects_forged_violation():
     trace = FlowTrace(a=0.5, g0=2.0)
-    trace.records.append((0.0, 2.0, 2.0, 2 * 2.0 / 0.5, 2.0 / 0.5, 0.0))
+    trace.records.append((0.0, 2.0, 2 * 2.0 / 0.5, 0.0))
     assert not verify_vdot_bound(trace).passed
 
 
@@ -326,7 +335,7 @@ def test_bound_violation_inside_a_step_ends_the_flow():
     op = Operator(name="negative_cubic", dim=1, fn=lambda u: -u**3, jac=lambda u: -3.0 * u**2)
     sol = integrate_flow(op, 1.0, [1.0], [0.0], FlowConfig())
     assert sol.trace.terminated_by == "monotone_bound_violated"
-    assert sol.trace.records == [(0.0, 1.0, 1.0, 1.0, 1.0, 0.0)]
+    assert sol.trace.records == [(0.0, 1.0, 1.0, 0.0)]
 
 
 def _decay_step_cap(rel_tol: float) -> float:

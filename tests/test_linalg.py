@@ -274,23 +274,31 @@ def test_diagonal_jacobian_gives_the_dense_report(getrf_calls, name, factorizati
     assert rep.to_json() == dense_rep.to_json()
 
 
-def test_constant_diagonal_reuses_its_memo(monkeypatch):
-    # identity's diagonal is a fresh ones(n) at every point, with the same bytes
-    monkeypatch.setattr(linalg, "_last_factor", None)
-    solve_regularized(np.ones(3), 0.5, np.ones(3))
+def test_diagonal_solves_leave_the_factor_memo_alone(getrf_calls):
+    # identity's diagonal is a fresh ones(n) at every point: divided anew each time
+    A = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+    rhs = np.array([1.0, -2.0, 0.5])
+    diagonals = ((np.ones(3), 0.5), (np.ones(3), 0.5), (np.arange(3.0), 0.25))
+    for d, a in diagonals:
+        assert solve_regularized(d, a, rhs).tobytes() == (rhs / (d + a)).tobytes()
+        assert linalg._last_factor is None
+    x = solve_regularized(A, 0.5, rhs)
     memo = linalg._last_factor
-    for rhs in (np.ones(3), np.arange(3.0), -np.ones(3)):
-        assert solve_regularized(np.ones(3), 0.5, rhs).tobytes() == (rhs / 1.5).tobytes()
-    assert linalg._last_factor is memo
-    solve_regularized(np.ones(3), 0.25, np.ones(3))
-    assert linalg._last_factor is not memo
+    for d, a in diagonals:
+        solve_regularized(d, a, rhs)
+        with pytest.raises(SingularSystemError):
+            solve_regularized(np.full(3, -a), a, rhs)  # a zero pivot, raised without touching the memo
+        assert linalg._last_factor is memo
+        assert solve_regularized(A, 0.5, rhs).tobytes() == x.tobytes()
+    assert len(getrf_calls) == 1
 
 
 def test_diagonal_and_matrix_of_one_do_not_share_the_memo(getrf_calls):
-    # a (1,) and a (1, 1) array have the same bytes; the key's form tells them apart
+    # a (1,) and a (1, 1) array have the same bytes, but a diagonal never reads
+    # the memo, so the matrix is factored once and its factors survive the diagonals
     for J in (np.array([2.0]), np.array([[2.0]]), np.array([2.0]), np.array([[2.0]])):
         assert solve_regularized(J, 0.5, np.array([5.0])).tobytes() == np.array([2.0]).tobytes()
-    assert len(getrf_calls) == 2
+    assert len(getrf_calls) == 1
 
 
 @pytest.mark.parametrize("d, a, rhs", [
@@ -305,8 +313,51 @@ def test_diagonal_overflow_is_silent(d, a, rhs):
     assert x.tolist() == [r / (di + a) for di, r in zip(d, rhs)]  # Python floats: inf, no error
 
 
-def test_dense_misses_share_a_read_only_identity():
-    eye = linalg._eye(4)
-    assert eye is linalg._eye(4)
-    assert not eye.flags.writeable
-    assert eye.tobytes() == np.eye(4).tobytes()
+class _FinitenessSpy:
+    """linalg's numpy, but keeping a copy of every array whose finiteness is checked."""
+
+    def __init__(self):
+        self.checked = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, x):
+        self.checked.append(np.array(x))
+        return np.isfinite(x)
+
+
+def _layouts(A):
+    """A as a C-ordered, a Fortran-ordered and a non-contiguous array."""
+    n = A.shape[0]
+    wide = np.full((n, 2 * n), np.pi)
+    wide[:, ::2] = A
+    return np.ascontiguousarray(A), np.asfortranarray(A), wide[:, ::2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_dense_miss_forms_a_plus_a_eye_bit_for_bit(monkeypatch, n):
+    """The matrix a dense miss checks and factors is A + a * np.eye(n), bit for bit,
+    signed zeros, infinities and nans included, whatever the layout of A."""
+    rng = np.random.default_rng(n)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    spy = _FinitenessSpy()
+    monkeypatch.setattr(linalg, "np", spy)
+    for k in range(40):
+        A = rng.uniform(-10.0, 10.0, size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+        # odd k puts specials on about half the entries: only signed zeros when
+        # k % 4 == 1, so the matrix stays finite and is factored, any of the five else
+        mask = rng.random((n, n)) < (0.5 if k % 2 else 0.0)
+        A[mask] = rng.choice(specials[: 2 if k % 4 == 1 else 5], size=int(mask.sum()))
+        a = float(10.0 ** rng.uniform(-300, 300))
+        expected = (A + a * np.eye(n)).tobytes()
+        rhs = rng.uniform(-1.0, 1.0, size=n)
+        for M in _layouts(A):
+            before = M.tobytes()
+            linalg._last_factor = None
+            try:
+                solve_regularized(M, a, rhs)
+            except (SingularSystemError, NumericalEvaluationError):
+                pass
+            assert spy.checked[-1].tobytes() == expected, (n, k)
+            assert M.tobytes() == before  # A itself is never shifted
