@@ -9,6 +9,7 @@ bound, Minty-type limit test) that make the construction work.
 from .validation import ValidatorReport
 from .gallery import (
     Operator,
+    LowerBidiagonal,
     evaluate,
     jacobian,
     check_monotone,
@@ -42,6 +43,7 @@ from .oracle import oracle_solve, damped_newton, bisection_1d
 __all__ = [
     "ValidatorReport",
     "Operator",
+    "LowerBidiagonal",
     "evaluate",
     "jacobian",
     "check_monotone",

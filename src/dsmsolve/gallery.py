@@ -2,9 +2,11 @@
 
 Operators are maps F: R^n -> R^n with analytic Jacobians.  An operator
 whose F'(u) is diagonal may have its ``jac`` return just the diagonal, an
-(n,) vector: the shape is the declaration.  ``jacobian`` gives the dense
-n x n matrix, which the validators and the oracle read; the flow asks for
-the declared form, so a diagonal is solved without a factorization.  The
+(n,) vector, and one whose F'(u) is lower bidiagonal may return a
+``LowerBidiagonal(diag, sub)`` pair: the form is the declaration.
+``jacobian`` gives the dense n x n matrix, which the validators and the
+oracle read; the flow asks for the declared form, so a diagonal or a
+bidiagonal is solved without an LU factorization.  The
 validators test monotonicity ((F(u)-F(v), u-v) >= 0) and coercivity
 ((u, F(u))/||u|| growing without bound) empirically on seeded samples,
 returning witnesses on failure.  The gallery ships both positive cases
@@ -14,7 +16,7 @@ and deliberate negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,21 @@ class NumericalEvaluationError(ArithmeticError):
     """Operator evaluation produced non-finite values."""
 
 
+class LowerBidiagonal(NamedTuple):
+    """A lower bidiagonal F'(u): ``diag`` (n,) on the diagonal, ``sub`` (n - 1,) below it."""
+
+    diag: Array
+    sub: Array
+
+    def dense(self) -> Array:
+        """The n x n matrix, +0.0 everywhere off the two diagonals."""
+        n = len(self.diag)
+        flat = np.zeros(n * n)
+        flat[:: n + 1] = self.diag
+        flat[n :: n + 1] = self.sub
+        return flat.reshape(n, n)
+
+
 @dataclass(frozen=True)
 class Operator:
     """A nonlinear map, its analytic Jacobian and advisory metadata.
@@ -42,7 +59,7 @@ class Operator:
     name: str
     dim: int
     fn: Callable[[Array], Array]
-    jac: Callable[[Array], Array]
+    jac: Callable[[Array], Array | LowerBidiagonal]
     declared_monotone: bool = False
     declared_strictly_monotone: bool = False
     declared_coercive: bool = False
@@ -75,14 +92,25 @@ def evaluate(op: Operator, u) -> Array:
     return out
 
 
-def jacobian(op: Operator, u, *, dense: bool = True) -> Array:
+def jacobian(op: Operator, u, *, dense: bool = True) -> Array | LowerBidiagonal:
     """F'(u) from the operator's analytic Jacobian (dimension-checked).
 
-    A ``jac`` may return the (n, n) matrix or, for a diagonal F'(u), its (n,)
-    diagonal.  By default a diagonal is expanded to the dense matrix;
-    ``dense=False`` returns the Jacobian in the form the operator declared.
+    A ``jac`` may return the (n, n) matrix, for a diagonal F'(u) its (n,)
+    diagonal, or for a lower bidiagonal F'(u) a ``LowerBidiagonal`` of an
+    (n,) diagonal and an (n - 1,) subdiagonal.  By default a diagonal or a
+    bidiagonal is expanded to the dense matrix; ``dense=False`` returns the
+    Jacobian in the form the operator declared.
     """
-    J = np.asarray(op.jac(_as_vector(u, op.dim)), dtype=float)
+    J = op.jac(_as_vector(u, op.dim))
+    if isinstance(J, LowerBidiagonal):
+        shapes = np.shape(J.diag), np.shape(J.sub)
+        if shapes != ((op.dim,), (op.dim - 1,)):
+            raise DimensionMismatchError(
+                f"{op.name} bidiagonal Jacobian has parts of shapes {shapes[0]} and "
+                f"{shapes[1]}, expected ({op.dim},) and ({op.dim - 1},)"
+            )
+        return J.dense() if dense else J
+    J = np.asarray(J, dtype=float)
     if J.shape == (op.dim,):
         return np.diag(J) if dense else J
     if J.shape != (op.dim, op.dim):
@@ -189,11 +217,12 @@ def _identity(n: int) -> Operator:
 
 def _spd_tridiag(n: int) -> Operator:
     M = _tridiag(n, -1.0, 2.0, -1.0)
+    M.flags.writeable = False  # the constant Jacobian, returned as it is
     return Operator(
         name="spd_tridiag",
         dim=n,
         fn=lambda u: M @ u,
-        jac=lambda u: M.copy(),
+        jac=lambda u: M,
         declared_monotone=True,
         declared_strictly_monotone=True,
         declared_coercive=True,
@@ -213,12 +242,15 @@ def _convex_gradient(n: int) -> Operator:
 
 
 def _skew_plus_cubic(n: int) -> Operator:
-    A = _tridiag(n, -1.0, 2.0, -1.0) + _tridiag(n, -1.0, 0.0, 1.0)  # SPD plus skew
+    # SPD tridiag(-1, 2, -1) plus skew tridiag(-1, 0, 1): A is lower bidiagonal,
+    # 2 on the diagonal and -2 below it, so F'(u) = A + diag(3u^2) is too
+    A = _tridiag(n, -1.0, 2.0, -1.0) + _tridiag(n, -1.0, 0.0, 1.0)
+    diag, sub = A.diagonal(), A.diagonal(-1)  # read-only views
     return Operator(
         name="skew_plus_cubic",
         dim=n,
         fn=lambda u: A @ u + u**3,
-        jac=lambda u: A + np.diag(3.0 * u**2),
+        jac=lambda u: LowerBidiagonal(diag + 3.0 * u**2, sub),
         declared_monotone=True,
         declared_strictly_monotone=True,
         declared_coercive=True,
@@ -229,11 +261,12 @@ def _rank_one_projector(n: int) -> Operator:
     # P = e e^T, e the first basis vector: monotone but flat on e-perp, so non-coercive
     P = np.zeros((n, n))
     P[0, 0] = 1.0
+    P.flags.writeable = False  # the constant Jacobian, returned as it is
     return Operator(
         name="rank_one_projector",
         dim=n,
         fn=lambda u: P @ u,
-        jac=lambda u: P.copy(),
+        jac=lambda u: P,
         declared_monotone=True,
         declared_strictly_monotone=False,
         declared_coercive=False,

@@ -7,11 +7,18 @@ A is F'(u) in the form the operator declared.  An (n, n) matrix is factored
 by LAPACK getrf/getrs, called directly.  An (n,) vector is the diagonal of
 F'(u), and the system is solved as rhs / (A + a): where no quotient
 overflows, that is what getrs returns for the diagonal matrix, bit for bit.
-Both forms raise the same errors with the same pivot, and the tiny-pivot
-check (SingularSystemError) also covers an exactly zero pivot (getrf info >
-0).  A diagonal is divided on every call.  An unchanged matrix reuses its
-last successful factorization, keyed on a and the exact bytes of A, so a
-linear operator, whose Jacobian is constant, factors once per value of a.
+A LowerBidiagonal(diag, sub) gets getrf's factors in closed form, since
+getrf on it swaps no rows while every |sub[k]| <= |diag[k] + a|: U is
+diag(diag + a), and column k of L is getf2's scaling of column k by
+1 / (diag[k] + a), so sub[k] * (1 / (diag[k] + a)) and, below that, zeros
+carrying the sign of the reciprocal.  Those factors go to the same getrs.  A
+bidiagonal that would swap rows is expanded and solved as a matrix.  All
+forms raise the same errors with the same pivot, and the tiny-pivot check
+(SingularSystemError) also covers an exactly zero pivot (getrf info > 0).  A
+diagonal or a bidiagonal is solved afresh on every call.  An unchanged
+matrix reuses its last successful factorization, keyed on a and the exact
+bytes of A, so a linear operator, whose Jacobian is constant, factors once
+per value of a.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .gallery import NumericalEvaluationError
+from .gallery import LowerBidiagonal, NumericalEvaluationError
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -50,13 +57,19 @@ def check_a(a: float) -> None:
 _last_factor = None
 
 
-def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
+def solve_regularized(A: np.ndarray | LowerBidiagonal, a: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (A + aI)x = rhs: an (n, n) A by LU with partial pivoting, the (n,)
-    diagonal of one by division."""
+    diagonal of one by division, a LowerBidiagonal by getrs on its closed-form
+    LU factors."""
     global _last_factor
-    A = np.asarray(A, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
+    if isinstance(A, LowerBidiagonal):
+        factors = _bidiagonal_factors(A, a, n)
+        if factors is not None:
+            return dgetrs(*factors, rhs)[0]
+        A = A.dense()  # getrf would swap rows
+    A = np.asarray(A, dtype=float)
     if A.shape != (n, n) and A.shape != (n,):
         raise ValueError(f"matrix shape {A.shape} incompatible with rhs dim {n}")
     check_a(a)
@@ -91,6 +104,38 @@ def solve_regularized(A: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
         lu.flags.writeable = piv.flags.writeable = False  # shared by every hit
         memo = _last_factor = (key, lu, piv)
     return dgetrs(memo[1], memo[2], rhs)[0]
+
+
+def _bidiagonal_factors(B: LowerBidiagonal, a: float, n: int):
+    """getrf's (lu, piv) for B + aI, bit for bit, lu in Fortran order; None
+    when getrf would swap rows.  Raises what the dense path raises."""
+    d = np.asarray(B.diag, dtype=float)
+    s = np.asarray(B.sub, dtype=float)
+    if d.shape != (n,) or s.shape != (n - 1,):
+        raise ValueError(f"bidiagonal parts {d.shape}, {s.shape} incompatible with rhs dim {n}")
+    check_a(a)
+    d = d + a
+    lo = float(d.min())
+    mag = d if lo > 0.0 else np.abs(d)  # a positive diagonal is its own magnitude
+    # getrf's pivot search takes the first largest entry, so it swaps rows
+    # iff some |s[k]| > |d[k]|; a nan fails this test too, and the dense
+    # path then raises on it
+    if not (np.abs(s) <= mag[:-1]).all():
+        return None
+    top = float(mag.max())  # >= every |s[k]|
+    if not top < np.inf:
+        raise NumericalEvaluationError("non-finite matrix entries")
+    pivot = lo if lo > 0.0 else float(mag.min())
+    if pivot <= _EPS * max(1.0, top) * n:
+        raise SingularSystemError(pivot)
+    r = 1.0 / d  # getf2 scales a column by the reciprocal of its pivot
+    lu = np.zeros((n, n), order="F")
+    if lo < 0.0:  # the zeros below the subdiagonal take their column's sign
+        lu[np.tri(n, n, -2, dtype=bool) & np.signbit(r)] = -0.0
+    flat = lu.ravel(order="F")
+    flat[:: n + 1] = d
+    flat[1 :: n + 1] = (s + 0.0) * r[:-1]  # + 0.0: getrf sees a -0.0 of sub as +0.0
+    return lu, np.arange(n, dtype=np.int32)
 
 
 def min_sym_eig(A: np.ndarray) -> float:

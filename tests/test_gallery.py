@@ -11,7 +11,7 @@ from dsmsolve import (
     make_operator,
     min_sym_eig,
 )
-from dsmsolve.gallery import DimensionMismatchError, Operator
+from dsmsolve.gallery import DimensionMismatchError, LowerBidiagonal, Operator
 
 from certificates import fd_jacobian
 from conftest import seeded_points
@@ -61,38 +61,63 @@ def test_jacobian_scalar_affine_sin():
     np.testing.assert_allclose(jacobian(op, [0.0]), [[3.0]])
 
 
-# reference: each diagonal member's Jacobian built as an n x n matrix
+def _skew_plus_cubic_matrix(n):
+    """SPD tridiag(-1, 2, -1) plus skew tridiag(-1, 0, 1), built as the gallery once did."""
+    spd = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    return spd + (np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+# reference: each diagonal or bidiagonal member's Jacobian built as an n x n matrix
 DENSE_JACOBIANS = {
     "scalar_cubic": lambda u: np.array([[3.0 * u[0] ** 2]]),
     "scalar_affine_sin": lambda u: np.array([[2.0 + np.cos(u[0])]]),
     "scalar_negation": lambda u: np.array([[-1.0]]),
     "identity": lambda u: np.eye(len(u)),
     "convex_gradient": lambda u: np.diag(3.0 * u**2 + 1.0),
+    "skew_plus_cubic": lambda u: _skew_plus_cubic_matrix(len(u)) + np.diag(3.0 * u**2),
 }
 
 
 @pytest.mark.parametrize("dim", [1, 5, 20])
 def test_diagonal_members_keep_their_dense_jacobian(dim):
-    """jacobian() is the dense matrix, bit for bit; dense=False is the declared form."""
+    """jacobian() is the dense matrix, bit for bit; dense=False is the declared form.
+
+    A constant matrix Jacobian is the operator's own read-only matrix, not a copy.
+    """
     for name in GALLERY_NAMES:
         op = make_operator(name, dim)
         # the last point is one where 3.0 * u**2 on the array is 1 ulp off the scalar power
         pts = [*seeded_points(dim, 200, op.dim, radius=1e4), np.full(op.dim, -1.523386358242358)]
         for u in pts:
             declared = jacobian(op, u, dense=False)
+            dense = jacobian(op, u)
             if name in DENSE_JACOBIANS:
+                assert dense.tobytes() == DENSE_JACOBIANS[name](u).tobytes(), (name, u)
+            if name == "skew_plus_cubic":
+                assert isinstance(declared, LowerBidiagonal), name
+                assert declared.dense().tobytes() == dense.tobytes(), name
+            elif name in DENSE_JACOBIANS:
                 assert declared.shape == (op.dim,), name
-                assert jacobian(op, u).tobytes() == DENSE_JACOBIANS[name](u).tobytes(), (name, u)
-                assert np.diag(declared).tobytes() == jacobian(op, u).tobytes(), name
+                assert np.diag(declared).tobytes() == dense.tobytes(), name
             else:
-                assert declared.tobytes() == jacobian(op, u).tobytes(), name
+                assert declared.tobytes() == dense.tobytes(), name
                 assert declared.shape == (op.dim, op.dim), name
+                assert declared is jacobian(op, -u) and not declared.flags.writeable, name
 
 
-@pytest.mark.parametrize("shape", [(4,), (3, 1), (), (3, 4), (1, 3, 3)])
+@pytest.mark.parametrize("shape", [
+    (4,), (3, 1), (), (3, 4), (1, 3, 3),
+    # the (diag, sub) shapes of a LowerBidiagonal
+    ((4,), (3,)), ((3,), (3,)), ((3,), (1,)), ((3, 1), (2,)), ((3,), (2, 1)), ((3, 3), (2,)),
+])
 def test_jacobian_shape_contract(shape):
-    """A Jacobian is an (n,) diagonal or an (n, n) matrix; any other shape is rejected."""
-    op = Operator("bad", 3, fn=lambda u: u, jac=lambda u: np.ones(shape))
+    """A Jacobian is an (n,) diagonal, an (n, n) matrix or a LowerBidiagonal of
+    an (n,) and an (n - 1,) part; any other shape is rejected."""
+    if shape and isinstance(shape[0], tuple):
+        J = LowerBidiagonal(np.ones(shape[0]), np.ones(shape[1]))
+    else:
+        J = np.ones(shape)
+    op = Operator("bad", 3, fn=lambda u: u, jac=lambda u: J)
     for dense in (True, False):
         with pytest.raises(DimensionMismatchError):
             jacobian(op, np.zeros(3), dense=dense)

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from dsmsolve import (
     ContinuationSchedule,
     FlowConfig,
+    LowerBidiagonal,
     SingularSystemError,
     jacobian,
     make_operator,
@@ -44,6 +46,14 @@ def test_solve_skew_2x2():
 def test_solve_rejects_nonpositive_a():
     with pytest.raises(ValueError):
         solve_regularized(np.eye(2), 0.0, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        solve_regularized(LowerBidiagonal(np.ones(2), np.ones(1)), 0.0, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("diag, sub", [((3,), (3,)), ((3,), (1,)), ((2,), (1,)), ((3, 1), (2,))])
+def test_solve_rejects_a_malformed_bidiagonal(diag, sub):
+    with pytest.raises(ValueError, match="incompatible with rhs dim 3"):
+        solve_regularized(LowerBidiagonal(np.ones(diag), np.ones(sub)), 0.5, np.ones(3))
 
 
 def _reference_solve(A, a, rhs):
@@ -225,7 +235,7 @@ def _continuation(op, seed):
 
 @pytest.mark.parametrize("name, dim", [("spd_tridiag", 20), ("skew_plus_cubic", 5)])
 def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
-    """A constant Jacobian factors once per stage, a varying one once per solve.
+    """A constant Jacobian factors once per stage, a bidiagonal one never.
 
     The report equals, byte for byte, that of a run that factors on every solve.
     """
@@ -243,29 +253,30 @@ def test_factorizations_per_continuation(getrf_calls, monkeypatch, name, dim):
     fresh_rep = _continuation(make_operator(name, dim), dim)
     assert rep.to_json() == fresh_rep.to_json()
     assert rep.final_u.tobytes() == fresh_rep.final_u.tobytes()
-    assert len(getrf_calls) - factored == len(solves)
     if name == "spd_tridiag":
+        assert len(getrf_calls) - factored == len(solves)
         assert factored == len(rep.stages) < len(solves)
-    else:
-        assert factored == len(solves)
+    else:  # a bidiagonal Jacobian gets its factors without getrf
+        assert len(getrf_calls) == 0 < len(solves)
 
 
 @pytest.mark.parametrize("name, factorizations", [
     ("convex_gradient", 0), ("identity", 0), ("scalar_cubic", 0),
-    ("skew_plus_cubic", 7099), ("spd_tridiag", 7),
+    ("skew_plus_cubic", 0), ("spd_tridiag", 7),
 ])
 def test_factorizations_at_dim_20(getrf_calls, name, factorizations):
-    """A diagonal Jacobian is never factored; a dense one as often as ever."""
+    """A diagonal or bidiagonal Jacobian is never factored; a dense one as often as ever."""
     _continuation(make_operator(name, 20), 20)
     assert len(getrf_calls) == factorizations
 
 
 @pytest.mark.parametrize("name, factorizations", [
     ("convex_gradient", 7009), ("identity", 7), ("scalar_cubic", 6487),
+    ("skew_plus_cubic", 7099),
 ])
 def test_diagonal_jacobian_gives_the_dense_report(getrf_calls, name, factorizations):
-    """The same operator with its Jacobian expanded to n x n factors at every
-    changed system, and its report has the same bytes."""
+    """The same operator with its diagonal or bidiagonal Jacobian expanded to
+    n x n factors at every changed system, and its report has the same bytes."""
     op = make_operator(name, 20)
     rep = _continuation(op, 20)
     assert not getrf_calls
@@ -311,6 +322,92 @@ def test_diagonal_overflow_is_silent(d, a, rhs):
         warnings.simplefilter("error")
         x = solve_regularized(np.array(d), a, np.array(rhs))
     assert x.tolist() == [r / (di + a) for di, r in zip(d, rhs)]  # Python floats: inf, no error
+
+
+def _bidiagonal_systems(rng, n, count):
+    """Seeded (B, a) whose B + aI getrf factors without a row swap: positive and
+    mixed-sign diagonals over six decades, subdiagonals with +0.0 and -0.0
+    entries, and ties |sub[k]| == |diag[k] + a|, which getrf does not swap."""
+    for k in range(count):
+        a = float(10.0 ** rng.uniform(-9.0, 1.0))
+        diag = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        if k % 4:
+            diag *= rng.choice([-1.0, 1.0], n)
+        da = diag + a
+        sub = da[:-1] * rng.uniform(-1.0, 1.0, n - 1)
+        mask = rng.random(n - 1) < 0.5
+        if k % 4 == 2:
+            sub[mask] = rng.choice([0.0, -0.0], int(mask.sum()))
+        elif k % 4 == 3:
+            sub[mask] = da[:-1][mask] * rng.choice([-1.0, 1.0], int(mask.sum()))
+        yield LowerBidiagonal(diag, sub), a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 64, 65, 129, 200])
+def test_bidiagonal_factors_are_getrf_bit_for_bit(getrf_calls, n):
+    """The closed-form factors of a lower bidiagonal B + aI are LAPACK getrf's,
+    signed zeros included, and getrs on them gives getrf + getrs's solution.
+
+    The sizes cross the BLAS's block edges.  This guards the one step that
+    rests on LAPACK's implementation, not on the algorithm: getf2 scales a
+    column by the reciprocal of its pivot, not by division.
+    """
+    rng = np.random.default_rng(n)
+    dense = rng.uniform(-1.0, 1.0, size=(n, n))
+    solve_regularized(dense, 0.5, np.ones(n))
+    memo = linalg._last_factor
+    for B, a in _bidiagonal_systems(rng, n, 100):
+        lu, piv, info = dgetrf(B.dense() + a * np.eye(n))
+        assert info == 0 and (piv == np.arange(n)).all()
+        factors = linalg._bidiagonal_factors(B, a, n)
+        assert factors[0].flags.f_contiguous
+        assert factors[0].tobytes(order="F") == lu.tobytes(order="F"), (n, B, a)
+        assert factors[1].tobytes() == piv.tobytes()
+        rhs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        assert solve_regularized(B, a, rhs).tobytes() == dgetrs(lu, piv, rhs)[0].tobytes()
+    assert len(getrf_calls) == 1  # the dense system's; its factors stay the memo's
+    assert linalg._last_factor is memo
+
+
+def test_bidiagonal_that_would_swap_rows_is_solved_as_a_matrix(getrf_calls):
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 20, 200):
+        diag = rng.uniform(0.5, 2.0, n)
+        sub = rng.uniform(-0.5, 0.5, n - 1)
+        k = int(rng.integers(n - 1))
+        sub[k] = np.nextafter(diag[k] + 0.25, np.inf) * rng.choice([-1.0, 1.0])  # 1 ulp past a tie
+        B = LowerBidiagonal(diag, sub)
+        assert linalg._bidiagonal_factors(B, 0.25, n) is None
+        rhs = rng.uniform(-1.0, 1.0, n)
+        x = solve_regularized(B, 0.25, rhs)
+        assert x.tobytes() == _reference_solve(B.dense(), 0.25, rhs).tobytes(), n
+    assert len(getrf_calls) == 4
+
+
+@pytest.mark.parametrize("diag, sub, a", [
+    ([1.0, np.nan, 1.0], [0.5, 0.5], 0.5),
+    ([1.0, 1.0, np.nan], [0.5, 0.5], 0.5),  # the one diagonal entry no |sub| is compared with
+    ([np.inf, 1.0, 1.0], [0.5, 0.5], 0.5),
+    ([-np.inf, 1.0, 1.0], [np.inf, 0.5], 0.5),
+    ([1.0, 1.0, 1.0], [np.nan, 0.5], 0.5),
+    ([1.0, 1.0, 1.0], [0.5, -np.inf], 0.5),
+    ([1.7e308, 1.0, 1.0], [0.0, 0.0], 1e308),  # diag + a overflows
+    ([1.0, -0.5, 1.0], [0.0, 0.0], 0.5),  # an exactly zero pivot
+    ([1.0, -0.5, 1.0], [0.0, -0.0], 0.5),
+    ([1.0, -0.5 + 2.0**-54, 1.0], [0.0, 0.0], 0.5),  # a tiny one
+    ([-0.5 - 2.0**-53, 1.0, 1.0], [0.0, 0.5], 0.5),  # a tiny negative one
+    ([1.0, -0.5, 1.0], [0.0, 1.0], 0.5),  # a row swap: solved, and refused, as a matrix
+])
+def test_bidiagonal_errors_are_the_dense_paths(getrf_calls, diag, sub, a):
+    """A bidiagonal raises what its dense matrix raises: same type, message and pivot."""
+    B = LowerBidiagonal(np.array(diag), np.array(sub))
+    with np.errstate(over="ignore"):  # as the CLI runs, so diag + a may overflow quietly
+        with pytest.raises((SingularSystemError, NumericalEvaluationError)) as dense_exc:
+            solve_regularized(B.dense(), a, np.ones(3))
+        with pytest.raises(type(dense_exc.value)) as exc:
+            solve_regularized(B, a, np.ones(3))
+    assert str(exc.value) == str(dense_exc.value)
+    assert getattr(exc.value, "pivot", None) == getattr(dense_exc.value, "pivot", None)
 
 
 class _FinitenessSpy:
