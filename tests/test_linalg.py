@@ -56,6 +56,45 @@ def test_solve_rejects_a_malformed_bidiagonal(diag, sub):
         solve_regularized(LowerBidiagonal(np.ones(diag), np.ones(sub)), 0.5, np.ones(3))
 
 
+@pytest.mark.parametrize("rhs", [np.float64(1.0), np.ones((3, 1)), np.arange(9.0).reshape(3, 3)])
+def test_solve_rejects_an_rhs_that_is_not_a_vector(rhs):
+    """Every form refuses a 0-d or 2-D rhs.  Unchecked, the diagonal divided an
+    (n, n) rhs along the wrong axis, and the other forms solved it by columns."""
+    d = np.array([1.0, 2.0, 3.0])
+    for J in (d, np.diag(d), LowerBidiagonal(d, np.zeros(2))):
+        with pytest.raises(ValueError, match="is not a vector"):
+            solve_regularized(J, 0.5, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+@pytest.mark.parametrize("form", ["diagonal", "bidiagonal", "matrix"])
+def test_singular_at_the_threshold_and_solved_one_ulp_above(getrf_calls, form, n):
+    """The singularity rule itself: a smallest pivot of exactly
+    eps * max(1, top) * n raises, carrying it; the next float above solves.
+
+    A + aI has the pivot a at row n // 2 and 4.0 elsewhere on its diagonal, so
+    top = max |entry| is 4.0, or a itself when n = 1."""
+    threshold = np.finfo(float).eps * (4.0 if n > 1 else 1.0) * n
+    k = n // 2
+    diag = np.full(n, 4.0 - threshold)  # + a rounds to 4.0 for either a below
+    diag[k] = 0.0
+    sub = np.ones(n - 1)
+    sub[k : k + 1] = 0.0  # |sub[k]| <= the pivot: getrf swaps no rows
+    B = LowerBidiagonal(diag, sub)
+    M = np.diag(diag) + np.triu(np.ones((n, n)), 1)  # triangular: U is M + aI
+    J, dense = {"diagonal": (diag, np.diag(diag)), "bidiagonal": (B, B.dense()), "matrix": (M, M)}[form]
+    rhs = np.linspace(-1.0, 1.0, n)
+    for a in (threshold, np.nextafter(threshold, np.inf)):
+        assert (diag + a).tolist() == [a if i == k else 4.0 for i in range(n)]
+        if a == threshold:
+            with pytest.raises(SingularSystemError) as exc:
+                solve_regularized(J, a, rhs)
+            assert exc.value.pivot == a
+        else:
+            x = solve_regularized(J, a, rhs)
+            assert x.tobytes() == _reference_solve(dense, a, rhs).tobytes()
+
+
 def _reference_solve(A, a, rhs):
     """scipy's lu_factor/lu_solve on A + a*np.eye(n): the same LAPACK routines."""
     lu_piv = scipy.linalg.lu_factor(A + a * np.eye(A.shape[0]), check_finite=False)
@@ -359,7 +398,8 @@ def test_bidiagonal_factors_are_getrf_bit_for_bit(getrf_calls, n):
     for B, a in _bidiagonal_systems(rng, n, 100):
         lu, piv, info = dgetrf(B.dense() + a * np.eye(n))
         assert info == 0 and (piv == np.arange(n)).all()
-        factors = linalg._bidiagonal_factors(B, a, n)
+        d = B.diag + a
+        factors = linalg._bidiagonal_lu(d, B.sub, float(d.min()), n)
         assert factors[0].flags.f_contiguous
         assert factors[0].tobytes(order="F") == lu.tobytes(order="F"), (n, B, a)
         assert factors[1].tobytes() == piv.tobytes()
@@ -369,18 +409,21 @@ def test_bidiagonal_factors_are_getrf_bit_for_bit(getrf_calls, n):
     assert linalg._last_factor is memo
 
 
-def test_bidiagonal_that_would_swap_rows_is_solved_as_a_matrix(getrf_calls):
+def test_bidiagonal_that_would_swap_rows_is_solved_as_a_matrix(getrf_calls, monkeypatch):
+    built = []
+    build = linalg._bidiagonal_lu
+    monkeypatch.setattr(linalg, "_bidiagonal_lu", lambda *args: built.append(1) or build(*args))
     rng = np.random.default_rng(12)
-    for n in (2, 5, 20, 200):
+    for k, n in enumerate((2, 5, 20, 200)):
         diag = rng.uniform(0.5, 2.0, n)
         sub = rng.uniform(-0.5, 0.5, n - 1)
-        k = int(rng.integers(n - 1))
-        sub[k] = np.nextafter(diag[k] + 0.25, np.inf) * rng.choice([-1.0, 1.0])  # 1 ulp past a tie
+        i = int(rng.integers(n - 1))
+        sub[i] = np.nextafter(diag[i] + 0.25, np.inf) * rng.choice([-1.0, 1.0])  # 1 ulp past a tie
         B = LowerBidiagonal(diag, sub)
-        assert linalg._bidiagonal_factors(B, 0.25, n) is None
         rhs = rng.uniform(-1.0, 1.0, n)
         x = solve_regularized(B, 0.25, rhs)
         assert x.tobytes() == _reference_solve(B.dense(), 0.25, rhs).tobytes(), n
+        assert len(getrf_calls) == k + 1 and not built  # factored by getrf, not written out
     assert len(getrf_calls) == 4
 
 

@@ -115,11 +115,11 @@ def diagonal_systems(draw):
 
 
 def _outcome(J, a, rhs):
-    """The solution's bytes, or the exception's class and pivot."""
+    """The solution's bytes, or the exception's class, message and pivot."""
     try:
         return solve_regularized(J, a, rhs).tobytes()
     except (SingularSystemError, NumericalEvaluationError) as exc:
-        return type(exc), getattr(exc, "pivot", None)
+        return type(exc), str(exc), getattr(exc, "pivot", None)
 
 
 @given(system=diagonal_systems())
